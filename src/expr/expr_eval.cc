@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "common/string_util.h"
 #include "expr/expr.h"
@@ -7,14 +9,15 @@
 // Vectorized expression kernels. The design (DESIGN.md "Vectorized
 // expressions"):
 //
-//  * Operands are *bound*, not copied: a column ref borrows the chunk
-//    column and the context's selection vector, a literal becomes a
-//    one-physical-row constant vector, anything else is materialized
-//    dense by recursing into EvalBatch.
-//  * Kernels dispatch once per batch on (type class, operator) and run
-//    branch-minimized loops over raw arrays. The per-row indirection
-//    branches (selection? constant?) are loop-invariant, so the
-//    compiler unswitches them.
+//  * Operands are *bound*, not copied, by every kind: a column ref
+//    borrows the chunk column and the context's selection vector, a
+//    literal becomes a one-physical-row constant vector, anything else
+//    is materialized dense by recursing into EvalBatch.
+//  * A bound operand has one shape per batch: flat, selected (read
+//    through the selection) or constant. Readers are instantiated per
+//    (shape, physical type), and each kernel dispatches once per batch
+//    on (shape, type, operator), so no row loop tests the shape. -O2
+//    does not unswitch loops, so this is done by hand.
 //  * NULLs are handled by writing validity and payload unconditionally:
 //    null rows get payload 0 / "" exactly like AppendNull would, so
 //    results are byte-identical to the row-at-a-time evaluator.
@@ -31,6 +34,13 @@ void CountBatch(const EvalContext& ctx, size_t n) {
   }
 }
 
+/// How a bound operand maps output row i to one of its own rows.
+enum class Shape {
+  kFlat,      // row i
+  kSelected,  // row sel[i]
+  kConstant,  // the single physical row, hoisted out of the loop
+};
+
 /// One bound operand of a batch kernel: a borrowed (or materialized)
 /// vector plus the row indirection needed to read it.
 struct Operand {
@@ -38,7 +48,14 @@ struct Operand {
   const ColumnVector* vec = nullptr;
   const uint32_t* sel = nullptr;  // chunk-row indirection, or nullptr
   bool constant = false;
-  bool const_null = false;
+
+  Shape shape() const {
+    if (constant) return Shape::kConstant;
+    return sel != nullptr ? Shape::kSelected : Shape::kFlat;
+  }
+  bool const_null() const { return constant && vec->IsNull(0); }
+  /// Row of `vec` holding output row i (boxed per-row paths only).
+  size_t Row(size_t i) const { return sel != nullptr ? sel[i] : i; }
 };
 
 Status BindOperand(const Expr& expr, const EvalContext& ctx, Operand* op) {
@@ -60,115 +77,190 @@ Status BindOperand(const Expr& expr, const EvalContext& ctx, Operand* op) {
   if (op->vec->is_constant()) {
     op->constant = true;
     op->sel = nullptr;
-    op->const_null = op->vec->IsNull(0);
   }
   return Status::OK();
 }
 
-// Readers fetch one operand's row values through the operand's
-// indirection. All branches are loop-invariant.
+bool IsIntClass(TypeId t) {
+  return t == TypeId::kInt64 || t == TypeId::kDate || t == TypeId::kBool;
+}
 
-struct IntReader {
-  const uint8_t* validity = nullptr;
-  const int64_t* data = nullptr;
-  const uint32_t* sel = nullptr;
-  bool constant = false;
-  bool const_null = false;
-  int64_t const_val = 0;
+// Payload type P of a reader: int64_t (BOOLEAN/BIGINT/DATE), double or
+// std::string.
 
-  explicit IntReader(const Operand& op) : constant(op.constant) {
-    if (constant) {
-      const_null = op.const_null;
-      const_val = const_null ? 0 : op.vec->GetInt64(0);
+template <typename P>
+const P* FlatPayload(const ColumnVector& v) {
+  if constexpr (std::is_same_v<P, double>) {
+    return v.double_data();
+  } else if constexpr (std::is_same_v<P, std::string>) {
+    return v.string_data().data();
+  } else {
+    return v.int64_data();
+  }
+}
+
+template <typename P>
+P ConstPayload(const ColumnVector& v) {
+  if constexpr (std::is_same_v<P, double>) {
+    return v.GetDouble(0);
+  } else if constexpr (std::is_same_v<P, std::string>) {
+    return v.GetString(0);
+  } else {
+    return v.GetInt64(0);
+  }
+}
+
+/// Reads one operand's rows as compute type T from payload type P
+/// (int64_t read as double is the numeric promotion), in shape S. A
+/// constant's row is copied into the reader, so the loop reads a local.
+template <typename T, typename P, Shape S>
+class Reader {
+ public:
+  explicit Reader(const Operand& op) {
+    if constexpr (S == Shape::kConstant) {
+      const_null_ = op.vec->IsNull(0);
+      if (!const_null_) const_val_ = static_cast<T>(ConstPayload<P>(*op.vec));
     } else {
-      validity = op.vec->validity_data();
-      data = op.vec->int64_data();
-      sel = op.sel;
+      validity_ = op.vec->validity_data();
+      data_ = FlatPayload<P>(*op.vec);
+      sel_ = op.sel;
     }
   }
-  size_t Idx(size_t i) const { return sel != nullptr ? sel[i] : i; }
+
   bool Null(size_t i) const {
-    return constant ? const_null : validity[Idx(i)] == 0;
-  }
-  int64_t Get(size_t i) const { return constant ? const_val : data[Idx(i)]; }
-};
-
-struct NumReader {
-  const uint8_t* validity = nullptr;
-  const int64_t* ints = nullptr;
-  const double* doubles = nullptr;
-  const uint32_t* sel = nullptr;
-  bool is_double = false;
-  bool constant = false;
-  bool const_null = false;
-  double const_val = 0;
-
-  explicit NumReader(const Operand& op) : constant(op.constant) {
-    is_double = op.vec->type() == TypeId::kDouble;
-    if (constant) {
-      const_null = op.const_null;
-      const_val = const_null ? 0 : op.vec->GetNumeric(0);
+    if constexpr (S == Shape::kConstant) {
+      return const_null_;
     } else {
-      validity = op.vec->validity_data();
-      if (is_double) {
-        doubles = op.vec->double_data();
-      } else {
-        ints = op.vec->int64_data();
-      }
-      sel = op.sel;
+      return validity_[Idx(i)] == 0;
     }
   }
-  size_t Idx(size_t i) const { return sel != nullptr ? sel[i] : i; }
-  bool Null(size_t i) const {
-    return constant ? const_null : validity[Idx(i)] == 0;
-  }
-  double Get(size_t i) const {
-    if (constant) return const_val;
-    size_t p = Idx(i);
-    return is_double ? doubles[p] : static_cast<double>(ints[p]);
-  }
-};
 
-struct StrReader {
-  const uint8_t* validity = nullptr;
-  const std::string* data = nullptr;
-  const uint32_t* sel = nullptr;
-  bool constant = false;
-  bool const_null = false;
-  const std::string* const_val = nullptr;
-
-  explicit StrReader(const Operand& op) : constant(op.constant) {
-    if (constant) {
-      const_null = op.const_null;
-      const_val = const_null ? nullptr : &op.vec->GetString(0);
+  decltype(auto) Get(size_t i) const {
+    if constexpr (S == Shape::kConstant) {
+      return (const_val_);
+    } else if constexpr (std::is_same_v<T, P>) {
+      return (data_[Idx(i)]);
     } else {
-      validity = op.vec->validity_data();
-      data = op.vec->string_data().data();
-      sel = op.sel;
+      return static_cast<T>(data_[Idx(i)]);
     }
   }
-  size_t Idx(size_t i) const { return sel != nullptr ? sel[i] : i; }
-  bool Null(size_t i) const {
-    return constant ? const_null : validity[Idx(i)] == 0;
+
+ private:
+  size_t Idx(size_t i) const {
+    if constexpr (S == Shape::kSelected) {
+      return sel_[i];
+    } else {
+      return i;
+    }
   }
-  const std::string& Get(size_t i) const {
-    return constant ? *const_val : data[Idx(i)];
-  }
+
+  const uint8_t* validity_ = nullptr;
+  const P* data_ = nullptr;
+  const uint32_t* sel_ = nullptr;
+  bool const_null_ = false;
+  T const_val_{};  // NULL constants read 0 / "", like NULL flat rows
 };
+
+/// Calls fn(reader) with `op` read as T from payload P, in op's shape.
+template <typename T, typename P, typename Fn>
+void VisitShape(const Operand& op, Fn&& fn) {
+  switch (op.shape()) {
+    case Shape::kFlat:
+      fn(Reader<T, P, Shape::kFlat>(op));
+      return;
+    case Shape::kSelected:
+      fn(Reader<T, P, Shape::kSelected>(op));
+      return;
+    case Shape::kConstant:
+      fn(Reader<T, P, Shape::kConstant>(op));
+      return;
+  }
+}
+
+/// Calls fn(reader) with `op` read as T. Strings read strings; doubles
+/// read a DOUBLE payload as is and promote integer payloads; int64_t
+/// reads BOOLEAN/BIGINT/DATE payloads.
+template <typename T, typename Fn>
+void Visit(const Operand& op, Fn&& fn) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (op.vec->type() == TypeId::kDouble) {
+      VisitShape<double, double>(op, fn);
+    } else {
+      VisitShape<double, int64_t>(op, fn);
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    VisitShape<std::string, std::string>(op, fn);
+  } else {
+    VisitShape<int64_t, int64_t>(op, fn);
+  }
+}
+
+/// Calls fn(reader) with `op` read as its own physical type.
+template <typename Fn>
+void VisitNative(const Operand& op, Fn&& fn) {
+  switch (op.vec->type()) {
+    case TypeId::kString:
+      Visit<std::string>(op, fn);
+      return;
+    case TypeId::kDouble:
+      Visit<double>(op, fn);
+      return;
+    default:
+      Visit<int64_t>(op, fn);
+      return;
+  }
+}
+
+/// Calls fn(left_reader, right_reader) with both operands read as T.
+template <typename T, typename Fn>
+void VisitPair(const Operand& l, const Operand& r, Fn&& fn) {
+  Visit<T>(l, [&](const auto& lr) {
+    Visit<T>(r, [&](const auto& rr) { fn(lr, rr); });
+  });
+}
+
+/// Runs a BOOLEAN kernel `run(k, validity, payload)`: once, into a
+/// constant, when its operands are all constant; else over all n rows.
+template <typename Run>
+void EmitBool(bool constant, size_t n, ColumnVector* out, Run&& run) {
+  if (constant) {
+    uint8_t ov = 0;
+    int64_t ob = 0;
+    run(size_t{1}, &ov, &ob);
+    Value v = ov != 0 ? Value::Bool(ob != 0) : Value::Null(TypeId::kBool);
+    *out = ColumnVector::MakeConstant(TypeId::kBool, v, n);
+    return;
+  }
+  *out = ColumnVector(TypeId::kBool);
+  out->ResizeForOverwrite(n);
+  run(n, out->mutable_validity_data(), out->mutable_int64_data());
+}
+
+bool StrEq(const std::string& a, const std::string& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
+}
 
 // Comparison functors reproduce the legacy three-way semantics exactly:
 // cmp = a < b ? -1 : (a > b ? 1 : 0), so a NaN operand compares "equal"
-// to everything. Every op is therefore spelled via operator< only.
+// to everything. Numeric ops are therefore spelled via operator< only;
+// string equality is a size check plus memcmp. `>` and `>=` run as `<`
+// and `<=` with the readers swapped.
 struct CmpEq {
   template <typename T>
   bool operator()(const T& a, const T& b) const {
     return !(a < b) && !(b < a);
+  }
+  bool operator()(const std::string& a, const std::string& b) const {
+    return StrEq(a, b);
   }
 };
 struct CmpNe {
   template <typename T>
   bool operator()(const T& a, const T& b) const {
     return (a < b) || (b < a);
+  }
+  bool operator()(const std::string& a, const std::string& b) const {
+    return !StrEq(a, b);
   }
 };
 struct CmpLt {
@@ -183,24 +275,11 @@ struct CmpLe {
     return !(b < a);
   }
 };
-struct CmpGt {
-  template <typename T>
-  bool operator()(const T& a, const T& b) const {
-    return b < a;
-  }
-};
-struct CmpGe {
-  template <typename T>
-  bool operator()(const T& a, const T& b) const {
-    return !(a < b);
-  }
-};
 
-/// Numeric comparison: payload reads are safe on null rows (they hold
-/// 0), so validity and result are computed without per-row branches.
-template <typename Cmp, typename Reader>
-void CompareLoopNum(const Reader& l, const Reader& r, size_t n, uint8_t* ov,
-                    int64_t* ob) {
+/// Payload reads are safe on null rows (they hold 0 / ""), so validity
+/// and result are computed without per-row branches.
+template <typename Cmp, typename L, typename R>
+void CompareLoop(const L& l, const R& r, size_t n, uint8_t* ov, int64_t* ob) {
   Cmp cmp;
   for (size_t i = 0; i < n; ++i) {
     bool valid = !l.Null(i) & !r.Null(i);
@@ -210,73 +289,35 @@ void CompareLoopNum(const Reader& l, const Reader& r, size_t n, uint8_t* ov,
   }
 }
 
-/// String comparison: a constant-null operand has no payload to read,
-/// so the compare is guarded by validity.
-template <typename Cmp>
-void CompareLoopStr(const StrReader& l, const StrReader& r, size_t n,
-                    uint8_t* ov, int64_t* ob) {
-  Cmp cmp;
-  for (size_t i = 0; i < n; ++i) {
-    bool valid = !l.Null(i) && !r.Null(i);
-    ov[i] = valid ? 1 : 0;
-    ob[i] = (valid && cmp(l.Get(i), r.Get(i))) ? 1 : 0;
-  }
-}
-
-template <typename Reader>
-void DispatchCompareNum(CompareOp op, const Reader& l, const Reader& r,
-                        size_t n, uint8_t* ov, int64_t* ob) {
+template <typename L, typename R>
+void DispatchCompare(CompareOp op, const L& l, const R& r, size_t n,
+                     uint8_t* ov, int64_t* ob) {
   switch (op) {
     case CompareOp::kEq:
-      CompareLoopNum<CmpEq>(l, r, n, ov, ob);
+      CompareLoop<CmpEq>(l, r, n, ov, ob);
       break;
     case CompareOp::kNe:
-      CompareLoopNum<CmpNe>(l, r, n, ov, ob);
+      CompareLoop<CmpNe>(l, r, n, ov, ob);
       break;
     case CompareOp::kLt:
-      CompareLoopNum<CmpLt>(l, r, n, ov, ob);
+      CompareLoop<CmpLt>(l, r, n, ov, ob);
       break;
     case CompareOp::kLe:
-      CompareLoopNum<CmpLe>(l, r, n, ov, ob);
+      CompareLoop<CmpLe>(l, r, n, ov, ob);
       break;
     case CompareOp::kGt:
-      CompareLoopNum<CmpGt>(l, r, n, ov, ob);
+      CompareLoop<CmpLt>(r, l, n, ov, ob);
       break;
     case CompareOp::kGe:
-      CompareLoopNum<CmpGe>(l, r, n, ov, ob);
-      break;
-  }
-}
-
-void DispatchCompareStr(CompareOp op, const StrReader& l, const StrReader& r,
-                        size_t n, uint8_t* ov, int64_t* ob) {
-  switch (op) {
-    case CompareOp::kEq:
-      CompareLoopStr<CmpEq>(l, r, n, ov, ob);
-      break;
-    case CompareOp::kNe:
-      CompareLoopStr<CmpNe>(l, r, n, ov, ob);
-      break;
-    case CompareOp::kLt:
-      CompareLoopStr<CmpLt>(l, r, n, ov, ob);
-      break;
-    case CompareOp::kLe:
-      CompareLoopStr<CmpLe>(l, r, n, ov, ob);
-      break;
-    case CompareOp::kGt:
-      CompareLoopStr<CmpGt>(l, r, n, ov, ob);
-      break;
-    case CompareOp::kGe:
-      CompareLoopStr<CmpGe>(l, r, n, ov, ob);
+      CompareLoop<CmpLe>(r, l, n, ov, ob);
       break;
   }
 }
 
 /// Arithmetic loop: `fn(a, b, &res)` computes one value and returns
 /// false to signal NULL (division by zero).
-template <typename Reader, typename T, typename Fn>
-void ArithLoop(const Reader& l, const Reader& r, size_t n, uint8_t* ov,
-               T* od, Fn fn) {
+template <typename L, typename R, typename T, typename Fn>
+void ArithLoop(const L& l, const R& r, size_t n, uint8_t* ov, T* od, Fn fn) {
   for (size_t i = 0; i < n; ++i) {
     T res = 0;
     bool valid = !l.Null(i) & !r.Null(i);
@@ -286,9 +327,9 @@ void ArithLoop(const Reader& l, const Reader& r, size_t n, uint8_t* ov,
   }
 }
 
-template <typename Reader, typename T>
-void DispatchArith(ArithOp op, const Reader& l, const Reader& r, size_t n,
-                   uint8_t* ov, T* od) {
+template <typename L, typename R, typename T>
+void DispatchArith(ArithOp op, const L& l, const R& r, size_t n, uint8_t* ov,
+                   T* od) {
   switch (op) {
     case ArithOp::kAdd:
       ArithLoop(l, r, n, ov, od, [](T a, T b, T* res) {
@@ -327,6 +368,106 @@ void DispatchArith(ArithOp op, const Reader& l, const Reader& r, size_t n,
       });
       break;
   }
+}
+
+/// The IN list split once per batch by payload class. Membership keeps
+/// Value::Compare's semantics: strings equal by bytes, numbers by the
+/// `<`-only three-way test after int->double promotion (so NaN matches
+/// every number and -0.0 matches 0), and a string never equals a number.
+class InCandidates {
+ public:
+  InCandidates(const std::vector<Value>& values, bool double_probe) {
+    for (const Value& v : values) {
+      if (v.is_null()) {
+        has_null_ = true;
+      } else if (v.type() == TypeId::kString) {
+        strings_.push_back(&v.string_value());
+      } else if (v.type() == TypeId::kDouble) {
+        doubles_.push_back(v.double_value());
+      } else if (double_probe) {
+        doubles_.push_back(v.AsDouble());
+      } else {
+        ints_.push_back(v.int64_value());
+      }
+    }
+  }
+
+  bool has_null() const { return has_null_; }
+
+  bool Contains(const std::string& v) const {
+    for (const std::string* c : strings_) {
+      if (StrEq(v, *c)) return true;
+    }
+    return false;
+  }
+  bool Contains(double v) const {
+    for (double c : doubles_) {
+      if (!(v < c) && !(c < v)) return true;
+    }
+    return false;
+  }
+  bool Contains(int64_t v) const {
+    for (int64_t c : ints_) {
+      if (v == c) return true;
+    }
+    return !doubles_.empty() && Contains(static_cast<double>(v));
+  }
+
+ private:
+  std::vector<int64_t> ints_;
+  std::vector<double> doubles_;
+  std::vector<const std::string*> strings_;
+  bool has_null_ = false;
+};
+
+/// x [NOT] IN (...): TRUE/FALSE when found or when the list has no NULL,
+/// else NULL (x IN (..., NULL) is NULL when x is not found).
+template <typename R>
+void InLoop(const R& r, const InCandidates& cands, bool negated, size_t n,
+            uint8_t* ov, int64_t* ob) {
+  bool has_null = cands.has_null();
+  for (size_t i = 0; i < n; ++i) {
+    bool found = !r.Null(i) && cands.Contains(r.Get(i));
+    bool valid = !r.Null(i) && (found || !has_null);
+    ov[i] = valid ? 1 : 0;
+    ob[i] = (valid && found != negated) ? 1 : 0;
+  }
+}
+
+/// Copies CASE branch `r` (read as T) into the output rows whose pick
+/// is `b`; a null `r` is an all-NULL branch. NULL rows get payload 0, or
+/// keep the "" a string row starts with after ResizeForOverwrite.
+template <typename T>
+void CopyBranch(const Operand* r, const uint32_t* pick, uint32_t b, size_t n,
+                ColumnVector* out) {
+  constexpr bool kString = std::is_same_v<T, std::string>;
+  uint8_t* ov = out->mutable_validity_data();
+  T* od = nullptr;
+  if constexpr (std::is_same_v<T, double>) {
+    od = out->mutable_double_data();
+  } else if constexpr (!kString) {
+    od = out->mutable_int64_data();
+  }
+  if (r == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      if (pick[i] != b) continue;
+      ov[i] = 0;
+      if constexpr (!kString) od[i] = T(0);
+    }
+    return;
+  }
+  Visit<T>(*r, [&](const auto& rr) {
+    for (size_t i = 0; i < n; ++i) {
+      if (pick[i] != b) continue;
+      bool valid = !rr.Null(i);
+      ov[i] = valid ? 1 : 0;
+      if constexpr (kString) {
+        if (valid) out->SetString(i, rr.Get(i));
+      } else {
+        od[i] = valid ? rr.Get(i) : T(0);
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -379,33 +520,21 @@ Status ComparisonExpr::EvalBatch(const EvalContext& ctx,
         "cannot compare " + std::string(TypeIdToString(l.vec->type())) +
         " with " + std::string(TypeIdToString(r.vec->type())));
   }
-
-  auto run = [&](size_t k, uint8_t* ov, int64_t* ob) {
-    if (l_str) {
-      StrReader lr(l), rr(r);
-      DispatchCompareStr(op_, lr, rr, k, ov, ob);
-    } else if (l.vec->type() == TypeId::kDouble ||
-               r.vec->type() == TypeId::kDouble) {
-      NumReader lr(l), rr(r);
-      DispatchCompareNum(op_, lr, rr, k, ov, ob);
-    } else {
-      IntReader lr(l), rr(r);
-      DispatchCompareNum(op_, lr, rr, k, ov, ob);
-    }
-  };
-
-  if (l.constant && r.constant) {
-    uint8_t ov = 0;
-    int64_t ob = 0;
-    run(1, &ov, &ob);
-    Value v = ov != 0 ? Value::Bool(ob != 0) : Value::Null(TypeId::kBool);
-    *out = ColumnVector::MakeConstant(TypeId::kBool, v, n);
-    return Status::OK();
-  }
-
-  *out = ColumnVector(TypeId::kBool);
-  out->ResizeForOverwrite(n);
-  run(n, out->mutable_validity_data(), out->mutable_int64_data());
+  bool any_double = l.vec->type() == TypeId::kDouble ||
+                    r.vec->type() == TypeId::kDouble;
+  EmitBool(l.constant && r.constant, n, out,
+           [&](size_t k, uint8_t* ov, int64_t* ob) {
+             auto loop = [&](const auto& lr, const auto& rr) {
+               DispatchCompare(op_, lr, rr, k, ov, ob);
+             };
+             if (l_str) {
+               VisitPair<std::string>(l, r, loop);
+             } else if (any_double) {
+               VisitPair<double>(l, r, loop);
+             } else {
+               VisitPair<int64_t>(l, r, loop);
+             }
+           });
   return Status::OK();
 }
 
@@ -429,11 +558,15 @@ Status ArithmeticExpr::EvalBatch(const EvalContext& ctx,
     res->ResizeForOverwrite(k);
     uint8_t* ov = res->mutable_validity_data();
     if (result_type_ == TypeId::kDouble) {
-      NumReader lr(l), rr(r);
-      DispatchArith(op_, lr, rr, k, ov, res->mutable_double_data());
+      double* od = res->mutable_double_data();
+      VisitPair<double>(l, r, [&](const auto& lr, const auto& rr) {
+        DispatchArith(op_, lr, rr, k, ov, od);
+      });
     } else {
-      IntReader lr(l), rr(r);
-      DispatchArith(op_, lr, rr, k, ov, res->mutable_int64_data());
+      int64_t* od = res->mutable_int64_data();
+      VisitPair<int64_t>(l, r, [&](const auto& lr, const auto& rr) {
+        DispatchArith(op_, lr, rr, k, ov, od);
+      });
     }
   };
 
@@ -477,23 +610,18 @@ Status LogicalExpr::EvalBatch(const EvalContext& ctx,
     }
   };
   for (const ExprPtr& child : children_) {
-    ColumnVector c;
-    AGORA_RETURN_IF_ERROR(child->EvalBatch(ctx, &c));
-    if (c.type() != TypeId::kBool) {
+    Operand c;
+    AGORA_RETURN_IF_ERROR(BindOperand(*child, ctx, &c));
+    if (c.vec->type() != TypeId::kBool) {
       return Status::TypeError("logical operand is not BOOLEAN: " +
                                child->ToString());
     }
-    if (c.is_constant()) {
-      uint8_t v = c.IsNull(0) ? 2 : (c.GetBool(0) ? 1 : 0);
-      for (size_t i = 0; i < n; ++i) merge(&state[i], v);
-    } else {
-      const uint8_t* cv = c.validity_data();
-      const int64_t* cb = c.int64_data();
+    Visit<int64_t>(c, [&](const auto& cr) {
       for (size_t i = 0; i < n; ++i) {
-        uint8_t v = cv[i] == 0 ? 2 : (cb[i] != 0 ? 1 : 0);
+        uint8_t v = cr.Null(i) ? 2 : (cr.Get(i) != 0 ? 1 : 0);
         merge(&state[i], v);
       }
-    }
+    });
   }
   *out = ColumnVector(TypeId::kBool);
   out->ResizeForOverwrite(n);
@@ -507,169 +635,104 @@ Status LogicalExpr::EvalBatch(const EvalContext& ctx,
 }
 
 Status NotExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(child_->EvalBatch(ctx, &c));
-  if (c.type() != TypeId::kBool) {
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  if (c.vec->type() != TypeId::kBool) {
     return Status::TypeError("NOT operand is not BOOLEAN");
   }
-  size_t n = c.size();
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant()) {
-    Value v =
-        c.IsNull(0) ? Value::Null(TypeId::kBool) : Value::Bool(!c.GetBool(0));
-    *out = ColumnVector::MakeConstant(TypeId::kBool, v, n);
-    return Status::OK();
-  }
-  const uint8_t* cv = c.validity_data();
-  const int64_t* cb = c.int64_data();
-  *out = ColumnVector(TypeId::kBool);
-  out->ResizeForOverwrite(n);
-  uint8_t* ov = out->mutable_validity_data();
-  int64_t* ob = out->mutable_int64_data();
-  for (size_t i = 0; i < n; ++i) {
-    bool valid = cv[i] != 0;
-    ov[i] = valid ? 1 : 0;
-    ob[i] = (valid & (cb[i] == 0)) ? 1 : 0;
-  }
+  EmitBool(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
+    Visit<int64_t>(c, [&](const auto& cr) {
+      for (size_t i = 0; i < k; ++i) {
+        bool valid = !cr.Null(i);
+        ov[i] = valid ? 1 : 0;
+        ob[i] = (valid & (cr.Get(i) == 0)) ? 1 : 0;
+      }
+    });
+  });
   return Status::OK();
 }
 
 Status IsNullExpr::EvalBatch(const EvalContext& ctx,
                              ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(child_->EvalBatch(ctx, &c));
-  size_t n = c.size();
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant()) {
-    bool is_null = c.IsNull(0);
-    *out = ColumnVector::MakeConstant(
-        TypeId::kBool, Value::Bool(negated_ ? !is_null : is_null), n);
-    return Status::OK();
-  }
-  const uint8_t* cv = c.validity_data();
-  *out = ColumnVector(TypeId::kBool);
-  out->ResizeForOverwrite(n);
-  uint8_t* ov = out->mutable_validity_data();
-  int64_t* ob = out->mutable_int64_data();
-  for (size_t i = 0; i < n; ++i) {
-    bool is_null = cv[i] == 0;
-    ov[i] = 1;
-    ob[i] = (negated_ ? !is_null : is_null) ? 1 : 0;
-  }
+  EmitBool(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
+    VisitNative(c, [&](const auto& cr) {
+      for (size_t i = 0; i < k; ++i) {
+        ov[i] = 1;
+        ob[i] = (cr.Null(i) != negated_) ? 1 : 0;
+      }
+    });
+  });
   return Status::OK();
 }
 
 Status LikeExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(child_->EvalBatch(ctx, &c));
-  if (c.type() != TypeId::kString) {
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  if (c.vec->type() != TypeId::kString) {
     return Status::TypeError("LIKE operand is not VARCHAR");
   }
-  size_t n = c.size();
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant()) {
-    Value v;
-    if (c.IsNull(0)) {
-      v = Value::Null(TypeId::kBool);
-    } else {
-      bool m = LikeMatch(c.GetString(0), pattern_);
-      v = Value::Bool(negated_ ? !m : m);
-    }
-    *out = ColumnVector::MakeConstant(TypeId::kBool, v, n);
-    return Status::OK();
-  }
-  const uint8_t* cv = c.validity_data();
-  const std::string* strs = c.string_data().data();
-  *out = ColumnVector(TypeId::kBool);
-  out->ResizeForOverwrite(n);
-  uint8_t* ov = out->mutable_validity_data();
-  int64_t* ob = out->mutable_int64_data();
-  for (size_t i = 0; i < n; ++i) {
-    bool valid = cv[i] != 0;
-    ov[i] = valid ? 1 : 0;
-    bool m = valid && LikeMatch(strs[i], pattern_);
-    ob[i] = (valid && (negated_ ? !m : m)) ? 1 : 0;
-  }
+  EmitBool(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
+    Visit<std::string>(c, [&](const auto& cr) {
+      for (size_t i = 0; i < k; ++i) {
+        bool valid = !cr.Null(i);
+        ov[i] = valid ? 1 : 0;
+        ob[i] = (valid && LikeMatch(cr.Get(i), pattern_) != negated_) ? 1 : 0;
+      }
+    });
+  });
   return Status::OK();
 }
 
 Status InListExpr::EvalBatch(const EvalContext& ctx,
                              ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(child_->EvalBatch(ctx, &c));
-  size_t n = c.size();
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant() && n == 0) {
-    *out = ColumnVector(TypeId::kBool);
-    return Status::OK();
-  }
-  size_t rows = c.is_constant() ? 1 : n;
-  ColumnVector result(TypeId::kBool);
-  result.Reserve(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    if (c.IsNull(i)) {
-      result.AppendNull();
-      continue;
-    }
-    // Cold membership probe over boxed literal values; the candidate
-    // list is tiny (IN lists), so no batch kernel is warranted.
-    // agora-lint: allow(expr-per-row-value) boxed IN-list probe, list is tiny
-    Value v = c.GetValue(i);
-    bool found = false;
-    bool saw_null = false;
-    for (const Value& candidate : values_) {
-      if (candidate.is_null()) {
-        saw_null = true;
-        continue;
-      }
-      if (v.Compare(candidate) == 0) {
-        found = true;
-        break;
-      }
-    }
-    if (found) {
-      result.AppendBool(!negated_);
-    } else if (saw_null) {
-      result.AppendNull();  // x IN (..., NULL) is NULL when not found
-    } else {
-      result.AppendBool(negated_);
-    }
-  }
-  if (c.is_constant()) {
-    // agora-lint: allow(expr-per-row-value) one-row constant fold, not a row loop
-    *out = ColumnVector::MakeConstant(TypeId::kBool, result.GetValue(0), n);
-  } else {
-    *out = std::move(result);
-  }
+  InCandidates cands(values_, c.vec->type() == TypeId::kDouble);
+  EmitBool(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
+    VisitNative(c, [&](const auto& cr) {
+      InLoop(cr, cands, negated_, k, ov, ob);
+    });
+  });
   return Status::OK();
 }
 
 Status CastExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(child_->EvalBatch(ctx, &c));
-  size_t n = c.size();
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant() && n == 0) {
+  if (c.constant && n == 0) {
     *out = ColumnVector(result_type_);
     return Status::OK();
   }
-  size_t rows = c.is_constant() ? 1 : n;
+  size_t rows = c.constant ? 1 : n;
   ColumnVector result(result_type_);
   result.Reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
-    if (c.IsNull(i)) {
+    size_t p = c.Row(i);
+    if (c.vec->IsNull(p)) {
       result.AppendNull();
       continue;
     }
     // Casts go through the boxed Value conversion table; they are rare
     // on hot paths (the planner folds constant casts).
     // agora-lint: allow(expr-per-row-value) boxed cast conversion path
-    auto v = c.GetValue(i).CastTo(result_type_);
+    auto v = c.vec->GetValue(p).CastTo(result_type_);
     if (!v.ok()) return v.status();
     // agora-lint: allow(expr-per-row-value) boxed cast conversion path
     result.AppendValue(*v);
   }
-  if (c.is_constant()) {
+  if (c.constant) {
     // agora-lint: allow(expr-per-row-value) one-row constant fold, not a row loop
     *out = ColumnVector::MakeConstant(result_type_, result.GetValue(0), n);
   } else {
@@ -680,64 +743,66 @@ Status CastExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
 
 Status FunctionExpr::EvalBatch(const EvalContext& ctx,
                                ColumnVector* out) const {
-  ColumnVector c;
-  AGORA_RETURN_IF_ERROR(arg_->EvalBatch(ctx, &c));
-  size_t n = c.size();
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*arg_, ctx, &c));
+  size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  if (c.is_constant() && n == 0) {
+  if (c.constant && n == 0) {
     *out = ColumnVector(result_type_);
     return Status::OK();
   }
-  size_t rows = c.is_constant() ? 1 : n;
+  size_t rows = c.constant ? 1 : n;
+  const ColumnVector& v = *c.vec;
   ColumnVector result(result_type_);
   result.Reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
-    if (c.IsNull(i)) {
+    size_t p = c.Row(i);
+    if (v.IsNull(p)) {
       result.AppendNull();
       continue;
     }
     switch (func_) {
       case ScalarFunc::kAbs:
         if (result_type_ == TypeId::kDouble) {
-          result.AppendDouble(std::fabs(c.GetDouble(i)));
+          result.AppendDouble(std::fabs(v.GetDouble(p)));
         } else {
-          int64_t v = c.GetInt64(i);
-          result.AppendInt64(v < 0 ? -v : v);
+          int64_t x = v.GetInt64(p);
+          result.AppendInt64(x < 0 ? -x : x);
         }
         break;
       case ScalarFunc::kLower:
-        result.AppendString(ToLower(c.GetString(i)));
+        result.AppendString(ToLower(v.GetString(p)));
         break;
       case ScalarFunc::kUpper:
-        result.AppendString(ToUpper(c.GetString(i)));
+        result.AppendString(ToUpper(v.GetString(p)));
         break;
       case ScalarFunc::kLength:
-        result.AppendInt64(static_cast<int64_t>(c.GetString(i).size()));
+        result.AppendInt64(static_cast<int64_t>(v.GetString(p).size()));
         break;
       case ScalarFunc::kYear:
-        result.AppendInt64(YearOfDate(c.GetInt64(i)));
+        result.AppendInt64(YearOfDate(v.GetInt64(p)));
         break;
       case ScalarFunc::kMonth:
-        result.AppendInt64(MonthOfDate(c.GetInt64(i)));
+        result.AppendInt64(MonthOfDate(v.GetInt64(p)));
         break;
       case ScalarFunc::kSqrt: {
-        double v = c.GetNumeric(i);
-        if (v < 0) {
+        double x = v.GetNumeric(p);
+        if (x < 0) {
           result.AppendNull();
         } else {
-          result.AppendDouble(std::sqrt(v));
+          result.AppendDouble(std::sqrt(x));
         }
         break;
       }
       case ScalarFunc::kFloor:
-        result.AppendDouble(std::floor(c.GetNumeric(i)));
+        result.AppendDouble(std::floor(v.GetNumeric(p)));
         break;
       case ScalarFunc::kCeil:
-        result.AppendDouble(std::ceil(c.GetNumeric(i)));
+        result.AppendDouble(std::ceil(v.GetNumeric(p)));
         break;
     }
   }
-  if (c.is_constant()) {
+  if (c.constant) {
     // agora-lint: allow(expr-per-row-value) one-row constant fold, not a row loop
     *out = ColumnVector::MakeConstant(result_type_, result.GetValue(0), n);
   } else {
@@ -747,35 +812,74 @@ Status FunctionExpr::EvalBatch(const EvalContext& ctx,
 }
 
 Status CaseExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
+  bool is_string = result_type_ == TypeId::kString;
+  bool is_double = result_type_ == TypeId::kDouble;
+  if (!is_string && !is_double && !IsIntClass(result_type_)) {
+    return Status::TypeError("CASE result type " +
+                             std::string(TypeIdToString(result_type_)) +
+                             " is not supported");
+  }
   size_t n = ctx.NumRows();
   CountBatch(ctx, n);
-  std::vector<ColumnVector> conds(conditions_.size());
-  std::vector<ColumnVector> results(results_.size());
-  for (size_t b = 0; b < conditions_.size(); ++b) {
-    AGORA_RETURN_IF_ERROR(conditions_[b]->EvalBatch(ctx, &conds[b]));
-    AGORA_RETURN_IF_ERROR(results_[b]->EvalBatch(ctx, &results[b]));
-  }
-  ColumnVector else_col;
-  if (else_result_ != nullptr) {
-    AGORA_RETURN_IF_ERROR(else_result_->EvalBatch(ctx, &else_col));
-  }
-  *out = ColumnVector(result_type_);
-  out->Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    bool matched = false;
-    for (size_t b = 0; b < conds.size(); ++b) {
-      if (!conds[b].IsNull(i) && conds[b].GetBool(i)) {
-        out->AppendFrom(results[b], i);
-        matched = true;
-        break;
-      }
+  size_t k = conditions_.size();
+  // Branch b < k is WHEN b; branch k is ELSE. Sized up front: a bound
+  // Operand may point into its own storage.
+  std::vector<Operand> conds(k);
+  std::vector<Operand> results(k + 1);
+  for (size_t b = 0; b < k; ++b) {
+    AGORA_RETURN_IF_ERROR(BindOperand(*conditions_[b], ctx, &conds[b]));
+    if (conds[b].vec->type() != TypeId::kBool) {
+      return Status::TypeError("CASE WHEN condition is not BOOLEAN");
     }
-    if (!matched) {
-      if (else_result_ != nullptr) {
-        out->AppendFrom(else_col, i);
-      } else {
-        out->AppendNull();
+    AGORA_RETURN_IF_ERROR(BindOperand(*results_[b], ctx, &results[b]));
+  }
+  if (else_result_ != nullptr) {
+    AGORA_RETURN_IF_ERROR(BindOperand(*else_result_, ctx, &results[k]));
+  }
+
+  // Each branch's operand, or nullptr for an all-NULL branch: a NULL
+  // constant of any type (the binder leaves an untyped NULL literal as
+  // is), or the implicit ELSE NULL. Integer branches widen to DOUBLE.
+  std::vector<const Operand*> branch(k + 1, nullptr);
+  for (size_t b = 0; b < k + (else_result_ != nullptr ? 1 : 0); ++b) {
+    const Operand& r = results[b];
+    if (r.const_null()) continue;
+    TypeId t = r.vec->type();
+    bool fits = is_string ? t == TypeId::kString
+                          : IsIntClass(t) ||
+                                (is_double && t == TypeId::kDouble);
+    if (!fits) {
+      return Status::TypeError("CASE branch of type " +
+                               std::string(TypeIdToString(t)) +
+                               " does not fit result type " +
+                               std::string(TypeIdToString(result_type_)));
+    }
+    branch[b] = &r;
+  }
+
+  // pick[i] = first WHEN branch whose condition is TRUE, else k. Walking
+  // the branches backwards lets each TRUE overwrite without a branch.
+  std::vector<uint32_t> pick(n, static_cast<uint32_t>(k));
+  for (size_t b = k; b-- > 0;) {
+    auto bb = static_cast<uint32_t>(b);
+    Visit<int64_t>(conds[b], [&](const auto& cr) {
+      for (size_t i = 0; i < n; ++i) {
+        bool hit = !cr.Null(i) & (cr.Get(i) != 0);
+        pick[i] = hit ? bb : pick[i];
       }
+    });
+  }
+
+  *out = ColumnVector(result_type_);
+  out->ResizeForOverwrite(n);
+  for (size_t b = 0; b <= k; ++b) {
+    auto bb = static_cast<uint32_t>(b);
+    if (is_string) {
+      CopyBranch<std::string>(branch[b], pick.data(), bb, n, out);
+    } else if (is_double) {
+      CopyBranch<double>(branch[b], pick.data(), bb, n, out);
+    } else {
+      CopyBranch<int64_t>(branch[b], pick.data(), bb, n, out);
     }
   }
   return Status::OK();

@@ -293,6 +293,16 @@ void ColumnVector::SetValue(size_t i, const Value& v) {
   rep->Recharge();
 }
 
+void ColumnVector::SetString(size_t i, std::string v) {
+  AGORA_DCHECK(type_ == TypeId::kString && i < size());
+  Rep* rep = EnsureUnique();
+  rep->validity[i] = 1;
+  rep->string_bytes -= StrCost(rep->strings[i]);
+  rep->strings[i] = std::move(v);
+  rep->string_bytes += StrCost(rep->strings[i]);
+  rep->Recharge();
+}
+
 bool ColumnVector::AllValid() const {
   if (!rep_) return true;
   for (uint8_t v : rep_->validity) {

@@ -97,6 +97,9 @@ class ColumnVector {
 
   /// Mutates row `i` in place (same type; row must exist).
   void SetValue(size_t i, const Value& v);
+  /// Makes row `i` of a string vector the valid value `v` (kernel output
+  /// after ResizeForOverwrite, whose string rows start empty).
+  void SetString(size_t i, std::string v);
 
   // -- Raw data (hot loops; flat vectors only) ---------------------------
   const int64_t* int64_data() const {

@@ -14,10 +14,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "expr/expr.h"
 #include "expr/expr_rewrite.h"
 
@@ -380,9 +382,72 @@ Value OracleEval(const Expr& e, const Chunk& chunk, size_t row) {
       return v.is_null() ? Value::Null(TypeId::kBool)
                          : Value::Bool(!v.bool_value());
     }
+    case ExprKind::kIsNull: {
+      const auto& n = static_cast<const IsNullExpr&>(e);
+      return Value::Bool(OracleEval(*n.child(), chunk, row).is_null() !=
+                         n.negated());
+    }
+    case ExprKind::kLike: {
+      const auto& n = static_cast<const LikeExpr&>(e);
+      Value v = OracleEval(*n.child(), chunk, row);
+      if (v.is_null()) return Value::Null(TypeId::kBool);
+      return Value::Bool(LikeMatch(v.string_value(), n.pattern()) !=
+                         n.negated());
+    }
+    case ExprKind::kInList: {
+      // x IN (...) is TRUE when some candidate compares equal, else NULL
+      // if the list holds a NULL, else FALSE; NOT IN flips TRUE/FALSE.
+      const auto& n = static_cast<const InListExpr&>(e);
+      Value v = OracleEval(*n.child(), chunk, row);
+      if (v.is_null()) return Value::Null(TypeId::kBool);
+      bool saw_null = false;
+      for (const Value& c : n.values()) {
+        if (c.is_null()) {
+          saw_null = true;
+        } else if (v.Compare(c) == 0) {
+          return Value::Bool(!n.negated());
+        }
+      }
+      return saw_null ? Value::Null(TypeId::kBool) : Value::Bool(n.negated());
+    }
+    case ExprKind::kCase: {
+      const auto& n = static_cast<const CaseExpr&>(e);
+      for (size_t b = 0; b < n.conditions().size(); ++b) {
+        Value c = OracleEval(*n.conditions()[b], chunk, row);
+        if (!c.is_null() && c.bool_value()) {
+          return OracleEval(*n.results()[b], chunk, row);
+        }
+      }
+      if (n.else_result() == nullptr) return Value::Null(n.result_type());
+      return OracleEval(*n.else_result(), chunk, row);
+    }
     default:
       ADD_FAILURE() << "oracle does not model " << e.ToString();
       return Value::Null();
+  }
+}
+
+/// The kernel's cell must equal the oracle's. Doubles compare by bit
+/// pattern: vectorization must not change float results, and NaN and
+/// -0.0 must come out as the oracle computes them.
+void ExpectSameCell(const Value& want, const Value& got, const Expr& e,
+                    size_t row) {
+  ASSERT_EQ(want.is_null(), got.is_null())
+      << e.ToString() << " row " << row << ": oracle=" << want.ToString()
+      << " kernel=" << got.ToString();
+  if (want.is_null()) return;
+  if (want.type() == TypeId::kDouble) {
+    ASSERT_EQ(got.type(), TypeId::kDouble) << e.ToString() << " row " << row;
+    double w = want.double_value(), g = got.double_value();
+    uint64_t wb, gb;
+    std::memcpy(&wb, &w, sizeof(w));
+    std::memcpy(&gb, &g, sizeof(g));
+    ASSERT_EQ(wb, gb) << e.ToString() << " row " << row << ": oracle=" << w
+                      << " kernel=" << g;
+  } else {
+    ASSERT_EQ(want.Compare(got), 0)
+        << e.ToString() << " row " << row << ": oracle=" << want.ToString()
+        << " kernel=" << got.ToString();
   }
 }
 
@@ -392,21 +457,8 @@ void ExpectMatchesOracle(const ExprPtr& e, const Chunk& chunk) {
   ASSERT_TRUE(e->Evaluate(chunk, &out).ok()) << e->ToString();
   ASSERT_EQ(out.size(), chunk.num_rows()) << e->ToString();
   for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    Value want = OracleEval(*e, chunk, r);
-    Value got = out.GetValue(r);
-    ASSERT_EQ(want.is_null(), got.is_null())
-        << e->ToString() << " row " << r << ": oracle=" << want.ToString()
-        << " kernel=" << got.ToString();
-    if (want.is_null()) continue;
-    if (want.type() == TypeId::kDouble) {
-      // Exact: vectorization must not change float results.
-      ASSERT_EQ(want.AsDouble(), got.AsDouble())
-          << e->ToString() << " row " << r;
-    } else {
-      ASSERT_EQ(want.Compare(got), 0)
-          << e->ToString() << " row " << r << ": oracle=" << want.ToString()
-          << " kernel=" << got.ToString();
-    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameCell(OracleEval(*e, chunk, r), out.GetValue(r), *e, r));
   }
 }
 
@@ -544,14 +596,8 @@ void ExpectSelectedEval(const ExprPtr& e, const Chunk& chunk,
   got.Flatten();
   ASSERT_EQ(got.size(), sel.size()) << e->ToString();
   for (size_t i = 0; i < sel.size(); ++i) {
-    Value want = OracleEval(*e, chunk, sel[i]);
-    Value have = got.GetValue(i);
-    ASSERT_EQ(want.is_null(), have.is_null()) << e->ToString() << " #" << i;
-    if (!want.is_null()) {
-      ASSERT_EQ(want.Compare(have), 0)
-          << e->ToString() << " #" << i << ": oracle=" << want.ToString()
-          << " kernel=" << have.ToString();
-    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameCell(OracleEval(*e, chunk, sel[i]),
+                                           got.GetValue(i), *e, sel[i]));
   }
 }
 
@@ -632,6 +678,218 @@ TEST(SelectionTest, RefineSelectionStartsFromNarrowedSelection) {
   // The OR branches evaluated under narrowed selections.
   EXPECT_GT(counters.sel_hits, 0);
   EXPECT_GT(counters.rows_evaluated, 0);
+}
+
+// ---------------------------------------------------------------------
+// IN, NOT IN, LIKE, IS [NOT] NULL, NOT and CASE in three operand shapes:
+// dense column refs, the same refs under a narrowed selection, and
+// constants (constant-form chunk columns and literals).
+
+/// Rows that pin equality at the edges: NaN, -0.0 and +0.0 doubles,
+/// BIGINTs equal to a double candidate, empty and heap-sized strings,
+/// and NULLs. The value lists have coprime lengths, so the rows mix
+/// every combination. Columns 3..5 are constant-form columns.
+Chunk MakeEdgeChunk(size_t rows = 630) {
+  Schema schema({{"n", TypeId::kInt64, true},
+                 {"x", TypeId::kDouble, true},
+                 {"s", TypeId::kString, true}});
+  Chunk chunk(schema);
+  const Value ns[] = {Value::Int64(0), Value::Int64(2), Value::Null(),
+                      Value::Int64(-1), Value::Int64(1)};
+  const Value xs[] = {Value::Double(std::nan("")), Value::Double(-0.0),
+                      Value::Double(0.0),          Value::Null(),
+                      Value::Double(2.0),          Value::Double(1.5),
+                      Value::Double(-2.5)};
+  const Value ss[] = {Value::String("MAIL"),
+                      Value::String("SHIP"),
+                      Value::Null(),
+                      Value::String("AIR"),
+                      Value::String(""),
+                      Value::String("MAILS"),
+                      Value::String("REG AIR"),
+                      Value::String("A SHIP MODE PAST THE INLINE BUFFER")};
+  for (size_t r = 0; r < rows; ++r) {
+    chunk.AppendRow({ns[r % 5], xs[r % 7], ss[r % 8]});
+  }
+  chunk.AddColumn(
+      ColumnVector::MakeConstant(TypeId::kInt64, Value::Int64(2), rows));
+  chunk.AddColumn(
+      ColumnVector::MakeConstant(TypeId::kDouble, Value::Double(-0.0), rows));
+  chunk.AddColumn(
+      ColumnVector::MakeConstant(TypeId::kString, Value::String("SHIP"), rows));
+  return chunk;
+}
+
+/// One BIGINT, DOUBLE and VARCHAR operand of a given shape.
+struct Operands {
+  ExprPtr n, x, s;
+};
+
+Operands DenseOperands() {
+  return {MakeColumnRef(0, TypeId::kInt64, "n"),
+          MakeColumnRef(1, TypeId::kDouble, "x"),
+          MakeColumnRef(2, TypeId::kString, "s")};
+}
+Operands ConstColumnOperands() {
+  return {MakeColumnRef(3, TypeId::kInt64, "cn"),
+          MakeColumnRef(4, TypeId::kDouble, "cx"),
+          MakeColumnRef(5, TypeId::kString, "cs")};
+}
+Operands LiteralOperands() {
+  return {MakeLiteral(Value::Int64(0)),
+          MakeLiteral(Value::Double(std::nan(""))),
+          MakeLiteral(Value::Null(TypeId::kString))};
+}
+
+ExprPtr In(ExprPtr e, std::vector<Value> values, bool negated = false) {
+  return std::make_shared<InListExpr>(std::move(e), std::move(values),
+                                      negated);
+}
+ExprPtr IsNull(ExprPtr e, bool negated = false) {
+  return std::make_shared<IsNullExpr>(std::move(e), negated);
+}
+ExprPtr Like(ExprPtr e, std::string pattern, bool negated = false) {
+  return std::make_shared<LikeExpr>(std::move(e), std::move(pattern),
+                                    negated);
+}
+
+std::vector<ExprPtr> KindPredicates(const Operands& o) {
+  const Value nan = Value::Double(std::nan(""));
+  return {
+      In(o.s, {Value::String("MAIL"), Value::String("SHIP")}),
+      In(o.s, {Value::String("MAIL"), Value::Null()}, /*negated=*/true),
+      // A number never equals a string.
+      In(o.s, {Value::Int64(1), Value::String("")}),
+      // BIGINT probe against DOUBLE candidates.
+      In(o.n, {Value::Double(0.0), Value::Double(2.5), Value::Int64(1)}),
+      In(o.n, {Value::Int64(2), Value::Null()}),
+      In(o.n, {nan}, true),
+      // -0.0 and 0.0 both equal 0; NaN equals every number.
+      In(o.x, {Value::Int64(0), Value::Double(2.0)}),
+      In(o.x, {nan}),
+      In(o.x, {Value::Double(-0.0), Value::Null()}, true),
+      In(o.x, {Value::String("AIR")}),
+      Like(o.s, "%AI%"),
+      Like(o.s, "S_IP", true),
+      Like(o.s, ""),
+      IsNull(o.n),
+      IsNull(o.x, true),
+      IsNull(o.s),
+      MakeNot(In(o.s, {Value::String("AIR")})),
+      MakeNot(IsNull(o.n)),
+  };
+}
+
+/// CASE with a BOOLEAN-NULL condition, a NULL branch and an implicit
+/// ELSE NULL, in each result type. Branches share the result type.
+std::vector<ExprPtr> KindCases(const Operands& o) {
+  ExprPtr n_pos =
+      MakeCompare(CompareOp::kGt, o.n, MakeLiteral(Value::Int64(0)));
+  ExprPtr x_small =
+      MakeCompare(CompareOp::kLt, o.x, MakeLiteral(Value::Double(1.0)));
+  return {
+      std::make_shared<CaseExpr>(
+          std::vector<ExprPtr>{n_pos, IsNull(o.x)},
+          std::vector<ExprPtr>{o.s, MakeLiteral(Value::String("none"))},
+          MakeLiteral(Value::String("other")), TypeId::kString),
+      std::make_shared<CaseExpr>(
+          std::vector<ExprPtr>{
+              In(o.s, {Value::String("MAIL"), Value::String("SHIP")})},
+          std::vector<ExprPtr>{o.x}, MakeLiteral(Value::Double(-0.0)),
+          TypeId::kDouble),
+      std::make_shared<CaseExpr>(std::vector<ExprPtr>{Like(o.s, "%A%")},
+                                 std::vector<ExprPtr>{o.n}, nullptr,
+                                 TypeId::kInt64),
+      std::make_shared<CaseExpr>(
+          std::vector<ExprPtr>{x_small, n_pos},
+          std::vector<ExprPtr>{MakeLiteral(Value::Int64(1)),
+                               MakeLiteral(Value::Null(TypeId::kInt64))},
+          o.n, TypeId::kInt64),
+  };
+}
+
+std::vector<uint32_t> EveryThirdRow(size_t rows) {
+  std::vector<uint32_t> sel;
+  for (uint32_t i = 0; i < rows; i += 3) sel.push_back(i);
+  return sel;
+}
+
+TEST(ExprOracleTest, InLikeIsNullCaseInEveryShape) {
+  for (const Chunk& chunk : {MakeEdgeChunk(), MakeEdgeChunk(2048 + 37)}) {
+    std::vector<uint32_t> narrowed = EveryThirdRow(chunk.num_rows());
+    for (const Operands& o :
+         {DenseOperands(), ConstColumnOperands(), LiteralOperands()}) {
+      std::vector<ExprPtr> exprs = KindPredicates(o);
+      for (const ExprPtr& c : KindCases(o)) exprs.push_back(c);
+      for (const ExprPtr& e : exprs) {
+        ExpectMatchesOracle(e, chunk);
+        ExpectSelectedEval(e, chunk, narrowed);
+      }
+    }
+  }
+}
+
+TEST(SelectionTest, RefineSelectionMatchesBruteForceForEveryKind) {
+  Chunk chunk = MakeEdgeChunk();
+  std::vector<uint32_t> all(chunk.num_rows());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  std::vector<uint32_t> narrowed = EveryThirdRow(chunk.num_rows());
+  for (const Operands& o :
+       {DenseOperands(), ConstColumnOperands(), LiteralOperands()}) {
+    for (const ExprPtr& pred : KindPredicates(o)) {
+      for (const std::vector<uint32_t>* start : {&all, &narrowed}) {
+        Selection sel;
+        if (start == &narrowed) {
+          sel.all = false;
+          sel.rows = narrowed;
+        }
+        ASSERT_TRUE(RefineSelection(*pred, chunk, &sel, nullptr).ok())
+            << pred->ToString();
+        std::vector<uint32_t> got = sel.all ? all : sel.rows;
+        std::vector<uint32_t> want;
+        for (uint32_t r : *start) {
+          Value v = OracleEval(*pred, chunk, r);
+          if (!v.is_null() && v.bool_value()) want.push_back(r);
+        }
+        ASSERT_EQ(got, want) << pred->ToString()
+                             << (start == &all ? " from all" : " narrowed");
+      }
+    }
+  }
+}
+
+TEST(ExprTest, CaseUntypedNullBranchIsNull) {
+  // `CASE WHEN .. THEN 1 ELSE NULL END`: the binder leaves the untyped
+  // NULL literal (a BOOLEAN constant) as the ELSE branch of a BIGINT
+  // CASE. It must read as NULL, not trip the branch type check.
+  Chunk chunk = MakeEdgeChunk();
+  ExprPtr e = std::make_shared<CaseExpr>(
+      std::vector<ExprPtr>{MakeCompare(CompareOp::kGt, DenseOperands().n,
+                                       MakeLiteral(Value::Int64(0)))},
+      std::vector<ExprPtr>{MakeLiteral(Value::Int64(1))},
+      MakeLiteral(Value::Null()), TypeId::kInt64);
+  ExpectMatchesOracle(e, chunk);
+  ExpectSelectedEval(e, chunk, EveryThirdRow(chunk.num_rows()));
+}
+
+TEST(ExprTest, StringCaseAccountsBytesLikeAppends) {
+  // CASE writes strings in place; the vector must account the same
+  // bytes as one built by appending the same values.
+  Chunk chunk = MakeEdgeChunk();
+  ExprPtr e = KindCases(DenseOperands())[0];
+  ColumnVector out;
+  ASSERT_TRUE(e->Evaluate(chunk, &out).ok());
+  ColumnVector appended(TypeId::kString);
+  appended.Reserve(out.size());
+  for (size_t r = 0; r < chunk.num_rows(); ++r) {
+    Value v = OracleEval(*e, chunk, r);
+    if (v.is_null()) {
+      appended.AppendNull();
+    } else {
+      appended.AppendString(v.string_value());
+    }
+  }
+  EXPECT_EQ(out.MemoryBytes(), appended.MemoryBytes());
 }
 
 TEST(ExprTest, LiteralEvalIsConstantForm) {
