@@ -512,26 +512,30 @@ Result<QueryResult> Database::ExecuteUpdate(const UpdateStatement& stmt) {
   int64_t affected = 0;
   for (size_t start = 0; start < bitmap.size(); start += kChunkSize) {
     size_t count = std::min(kChunkSize, bitmap.size() - start);
-    bool any = false;
+    std::vector<uint32_t> rows;  // block rows the WHERE clause selected
     for (size_t i = 0; i < count; ++i) {
-      if (bitmap[start + i] != 0) {
-        any = true;
-        break;
+      if (bitmap[start + i] != 0) rows.push_back(static_cast<uint32_t>(i));
+    }
+    if (rows.empty()) continue;
+    // New values are computed from the pre-update block, so multiple
+    // assignments see consistent inputs (standard SQL semantics). They
+    // are gathered into owned vectors and the block is released before
+    // any cell is written: the block (and a bare column reference's
+    // result) views the table's buffers, and writing while a view is
+    // held would clone the whole column.
+    std::vector<ColumnVector> new_values(value_exprs.size());
+    {
+      Chunk chunk = table->GetChunk(start, count);
+      for (size_t a = 0; a < value_exprs.size(); ++a) {
+        ColumnVector values;
+        AGORA_RETURN_IF_ERROR(value_exprs[a]->Evaluate(chunk, &values));
+        new_values[a] = values.Gather(rows);
       }
     }
-    if (!any) continue;
-    // New values are computed from the pre-update chunk, so multiple
-    // assignments see consistent inputs (standard SQL semantics).
-    Chunk chunk = table->GetChunk(start, count);
-    std::vector<ColumnVector> new_values(value_exprs.size());
-    for (size_t a = 0; a < value_exprs.size(); ++a) {
-      AGORA_RETURN_IF_ERROR(value_exprs[a]->Evaluate(chunk, &new_values[a]));
-    }
-    for (size_t i = 0; i < count; ++i) {
-      if (bitmap[start + i] == 0) continue;
+    for (size_t j = 0; j < rows.size(); ++j) {
       for (size_t a = 0; a < target_cols.size(); ++a) {
-        AGORA_RETURN_IF_ERROR(table->SetCell(start + i, target_cols[a],
-                                             new_values[a].GetValue(i)));
+        AGORA_RETURN_IF_ERROR(table->SetCell(start + rows[j], target_cols[a],
+                                             new_values[a].GetValue(j)));
       }
       ++affected;
     }

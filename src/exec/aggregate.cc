@@ -268,7 +268,7 @@ Status PhysicalHashAggregate::ApplyAccumulators(
         if (arg.type() == TypeId::kString) {
           std::vector<std::string>& ms = table->minmax_strings[a];
           ms.resize(num_groups);
-          const std::vector<std::string>& data = arg.string_data();
+          const std::string* data = arg.string_data();
           for (size_t r = 0; r < rows; ++r) {
             if (valid[r] == 0) continue;
             AggState& st = states[gids[r] * num_aggs + a];

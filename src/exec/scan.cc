@@ -47,9 +47,6 @@ Status PhysicalScan::OpenImpl() {
     table_->BuildZoneMaps();
   }
   zone_map_snapshot_ = use_zone_maps_ ? table_->zone_maps() : nullptr;
-  if (predicate_ != nullptr) {
-    scan_view_ = table_->GetChunkView(projection_);
-  }
   return Status::OK();
 }
 
@@ -74,44 +71,17 @@ Status PhysicalScan::ScanBlock(size_t start, size_t count, Chunk* out,
     }
   }
 
-  size_t end = std::min(start + count, table_->num_rows());
-  size_t n = end > start ? end - start : 0;
-
-  if (predicate_ != nullptr) {
-    // Fused scan filter: refine a selection of absolute row ids over
-    // the zero-copy table view, then gather survivors once. The raw
-    // block is never materialized.
-    Selection sel;
-    sel.all = false;
-    sel.rows.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      sel.rows[i] = static_cast<uint32_t>(start + i);
-    }
-    ExprCounters counters;
-    AGORA_RETURN_IF_ERROR(
-        RefineSelection(*predicate_, scan_view_, &sel, &counters));
-    stats->blocks_read++;
-    stats->rows_scanned += static_cast<int64_t>(n);
-    stats->expr_rows_evaluated += counters.rows_evaluated;
-    stats->sel_vector_hits += counters.sel_hits;
-    Chunk res;
-    if (sel.rows.size() == n) {
-      // Whole block passes: a contiguous slice beats a gather.
-      res = table_->GetChunk(start, count, projection_);
-      stats->filter_gathers_avoided++;
-    } else {
-      res = scan_view_.GatherRows(sel.rows);
-    }
-    stats->bytes_materialized += static_cast<int64_t>(res.MemoryBytes());
-    *out = std::move(res);
-    return Status::OK();
-  }
-
-  Chunk raw = table_->GetChunk(start, count, projection_);
+  // The block is a chunk of views over the table's buffers. The filter
+  // runs on it directly (survivor rows count from the block start), and
+  // a block every row passes is handed on without a copy.
+  Chunk chunk = table_->GetChunk(start, count, projection_);
   stats->blocks_read++;
-  stats->rows_scanned += static_cast<int64_t>(raw.num_rows());
-  stats->bytes_materialized += static_cast<int64_t>(raw.MemoryBytes());
-  *out = std::move(raw);
+  stats->rows_scanned += static_cast<int64_t>(chunk.num_rows());
+  if (predicate_ != nullptr) {
+    AGORA_ASSIGN_OR_RETURN(chunk, FilterChunk(chunk, *predicate_, stats));
+  }
+  stats->bytes_materialized += static_cast<int64_t>(chunk.MemoryBytes());
+  *out = std::move(chunk);
   return Status::OK();
 }
 

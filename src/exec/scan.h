@@ -71,9 +71,9 @@ class PhysicalScan : public PhysicalOperator {
                     ExecStats* stats) const;
 
  private:
-  /// Shared block-scan step: materializes [start, start+count) unless zone
-  /// maps prove it empty (*skipped = true). Chunks fully removed by the
-  /// pushed predicate come back with zero rows.
+  /// Shared block-scan step: views [start, start+count) unless zone maps
+  /// prove it empty (*skipped = true) and applies the pushed predicate.
+  /// Chunks fully removed by the predicate come back with zero rows.
   Status ScanBlock(size_t start, size_t count, Chunk* out, bool* skipped,
                    ExecStats* stats) const;
 
@@ -88,11 +88,6 @@ class PhysicalScan : public PhysicalOperator {
   std::shared_ptr<const ZoneMapSet> zone_map_snapshot_;
   size_t next_row_ = 0;                  // serial pull cursor
   std::atomic<size_t> morsel_cursor_{0};  // parallel claim cursor
-  /// Zero-copy whole-table view (built in Open when a predicate is
-  /// pushed down). The fused filter refines a selection of absolute row
-  /// ids against it and gathers once per block; read-only, so safe to
-  /// share across morsel workers.
-  Chunk scan_view_;
 };
 
 /// Point-lookup scan through a hash index: emits only rows whose indexed

@@ -21,6 +21,10 @@
 //  * NULLs are handled by writing validity and payload unconditionally:
 //    null rows get payload 0 / "" exactly like AppendNull would, so
 //    results are byte-identical to the row-at-a-time evaluator.
+//  * A predicate kind (comparison, IN, LIKE, IS [NOT] NULL) writes its
+//    per-row loop once, against a sink: BoolSink fills the BOOLEAN column
+//    EvalBatch returns, SelectSink writes the survivors' row ids straight
+//    into the Selection that RefineSelection narrows — no mask column.
 
 namespace agora {
 
@@ -93,7 +97,7 @@ const P* FlatPayload(const ColumnVector& v) {
   if constexpr (std::is_same_v<P, double>) {
     return v.double_data();
   } else if constexpr (std::is_same_v<P, std::string>) {
-    return v.string_data().data();
+    return v.string_data();
   } else {
     return v.int64_data();
   }
@@ -236,6 +240,32 @@ void EmitBool(bool constant, size_t n, ColumnVector* out, Run&& run) {
   run(n, out->mutable_validity_data(), out->mutable_int64_data());
 }
 
+/// Takes a predicate's verdict for row i (`valid`: not NULL; `res`: the
+/// value when valid) into a BOOLEAN column.
+struct BoolSink {
+  uint8_t* ov;
+  int64_t* ob;
+  void operator()(size_t i, bool valid, bool res) {
+    ov[i] = valid ? 1 : 0;
+    ob[i] = (valid & res) ? 1 : 0;
+  }
+};
+
+/// Takes a predicate's verdict for row i into a selection, branch-free:
+/// every row's id is written and only a TRUE row advances `k`. kDense:
+/// row i is chunk row i (no selection yet). Otherwise row i is chunk row
+/// rows[i], and survivors compact in place (k <= i, so no unread id is
+/// overwritten).
+template <bool kDense>
+struct SelectSink {
+  uint32_t* rows;
+  size_t k = 0;
+  void operator()(size_t i, bool valid, bool res) {
+    rows[k] = kDense ? static_cast<uint32_t>(i) : rows[i];
+    k += (valid & res) ? 1 : 0;
+  }
+};
+
 bool StrEq(const std::string& a, const std::string& b) {
   return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
 }
@@ -278,38 +308,36 @@ struct CmpLe {
 
 /// Payload reads are safe on null rows (they hold 0 / ""), so validity
 /// and result are computed without per-row branches.
-template <typename Cmp, typename L, typename R>
-void CompareLoop(const L& l, const R& r, size_t n, uint8_t* ov, int64_t* ob) {
+template <typename Cmp, typename L, typename R, typename Sink>
+void CompareLoop(const L& l, const R& r, size_t n, Sink& sink) {
   Cmp cmp;
   for (size_t i = 0; i < n; ++i) {
     bool valid = !l.Null(i) & !r.Null(i);
-    bool res = cmp(l.Get(i), r.Get(i));
-    ov[i] = valid ? 1 : 0;
-    ob[i] = (valid & res) ? 1 : 0;
+    sink(i, valid, cmp(l.Get(i), r.Get(i)));
   }
 }
 
-template <typename L, typename R>
+template <typename L, typename R, typename Sink>
 void DispatchCompare(CompareOp op, const L& l, const R& r, size_t n,
-                     uint8_t* ov, int64_t* ob) {
+                     Sink& sink) {
   switch (op) {
     case CompareOp::kEq:
-      CompareLoop<CmpEq>(l, r, n, ov, ob);
+      CompareLoop<CmpEq>(l, r, n, sink);
       break;
     case CompareOp::kNe:
-      CompareLoop<CmpNe>(l, r, n, ov, ob);
+      CompareLoop<CmpNe>(l, r, n, sink);
       break;
     case CompareOp::kLt:
-      CompareLoop<CmpLt>(l, r, n, ov, ob);
+      CompareLoop<CmpLt>(l, r, n, sink);
       break;
     case CompareOp::kLe:
-      CompareLoop<CmpLe>(l, r, n, ov, ob);
+      CompareLoop<CmpLe>(l, r, n, sink);
       break;
     case CompareOp::kGt:
-      CompareLoop<CmpLt>(r, l, n, ov, ob);
+      CompareLoop<CmpLt>(r, l, n, sink);
       break;
     case CompareOp::kGe:
-      CompareLoop<CmpLe>(r, l, n, ov, ob);
+      CompareLoop<CmpLe>(r, l, n, sink);
       break;
   }
 }
@@ -422,16 +450,154 @@ class InCandidates {
 
 /// x [NOT] IN (...): TRUE/FALSE when found or when the list has no NULL,
 /// else NULL (x IN (..., NULL) is NULL when x is not found).
-template <typename R>
+template <typename R, typename Sink>
 void InLoop(const R& r, const InCandidates& cands, bool negated, size_t n,
-            uint8_t* ov, int64_t* ob) {
+            Sink& sink) {
   bool has_null = cands.has_null();
   for (size_t i = 0; i < n; ++i) {
     bool found = !r.Null(i) && cands.Contains(r.Get(i));
     bool valid = !r.Null(i) && (found || !has_null);
-    ov[i] = valid ? 1 : 0;
-    ob[i] = (valid && found != negated) ? 1 : 0;
+    sink(i, valid, found != negated);
   }
+}
+
+/// Runs a predicate kernel's row loop `run(k, sink)` into the BOOLEAN
+/// column EvalBatch returns.
+struct ToColumn {
+  size_t n;
+  ColumnVector* out;
+
+  template <typename Run>
+  void operator()(bool constant, Run&& run) const {
+    EmitBool(constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
+      BoolSink sink{ov, ob};
+      run(k, sink);
+    });
+  }
+};
+
+/// Runs a predicate kernel's row loop `run(k, sink)` into the selection
+/// RefineSelection narrows: `sel` names the n live rows the kernel's
+/// operands were bound to, and keeps only the TRUE ones.
+struct ToSelection {
+  size_t n;
+  Selection* sel;
+
+  template <typename Run>
+  void operator()(bool constant, Run&& run) const {
+    if (constant) {
+      // One verdict for every live row.
+      uint8_t ov = 0;
+      int64_t ob = 0;
+      BoolSink sink{&ov, &ob};
+      run(size_t{1}, sink);
+      if (n == 0 || ob != 0) return;
+      sel->all = false;
+      sel->rows.clear();
+      return;
+    }
+    if (!sel->all) {
+      SelectSink<false> sink{sel->rows.data()};
+      run(n, sink);
+      sel->rows.resize(sink.k);
+      return;
+    }
+    sel->rows.resize(n);
+    SelectSink<true> sink{sel->rows.data()};
+    run(n, sink);
+    if (sink.k == n) {
+      sel->rows.clear();  // everything passed; stay in "all" form
+      return;
+    }
+    sel->all = false;
+    sel->rows.resize(sink.k);
+  }
+};
+
+// Predicate kernels: each binds its operands, checks their types and
+// hands `emit` (ToColumn or ToSelection) its only per-row loop.
+
+template <typename Emit>
+Status CompareKernel(const ComparisonExpr& e, const EvalContext& ctx,
+                     const Emit& emit) {
+  Operand l, r;
+  AGORA_RETURN_IF_ERROR(BindOperand(*e.left(), ctx, &l));
+  AGORA_RETURN_IF_ERROR(BindOperand(*e.right(), ctx, &r));
+  CountBatch(ctx, ctx.NumRows());
+
+  bool l_str = l.vec->type() == TypeId::kString;
+  bool r_str = r.vec->type() == TypeId::kString;
+  if (l_str != r_str) {
+    return Status::TypeError(
+        "cannot compare " + std::string(TypeIdToString(l.vec->type())) +
+        " with " + std::string(TypeIdToString(r.vec->type())));
+  }
+  bool any_double = l.vec->type() == TypeId::kDouble ||
+                    r.vec->type() == TypeId::kDouble;
+  emit(l.constant && r.constant, [&](size_t k, auto& sink) {
+    auto loop = [&](const auto& lr, const auto& rr) {
+      DispatchCompare(e.op(), lr, rr, k, sink);
+    };
+    if (l_str) {
+      VisitPair<std::string>(l, r, loop);
+    } else if (any_double) {
+      VisitPair<double>(l, r, loop);
+    } else {
+      VisitPair<int64_t>(l, r, loop);
+    }
+  });
+  return Status::OK();
+}
+
+template <typename Emit>
+Status IsNullKernel(const IsNullExpr& e, const EvalContext& ctx,
+                    const Emit& emit) {
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*e.child(), ctx, &c));
+  CountBatch(ctx, ctx.NumRows());
+  bool negated = e.negated();
+  emit(c.constant, [&](size_t k, auto& sink) {
+    VisitNative(c, [&](const auto& cr) {
+      for (size_t i = 0; i < k; ++i) sink(i, true, cr.Null(i) != negated);
+    });
+  });
+  return Status::OK();
+}
+
+template <typename Emit>
+Status LikeKernel(const LikeExpr& e, const EvalContext& ctx,
+                  const Emit& emit) {
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*e.child(), ctx, &c));
+  if (c.vec->type() != TypeId::kString) {
+    return Status::TypeError("LIKE operand is not VARCHAR");
+  }
+  CountBatch(ctx, ctx.NumRows());
+  bool negated = e.negated();
+  emit(c.constant, [&](size_t k, auto& sink) {
+    Visit<std::string>(c, [&](const auto& cr) {
+      for (size_t i = 0; i < k; ++i) {
+        bool valid = !cr.Null(i);
+        sink(i, valid, valid && LikeMatch(cr.Get(i), e.pattern()) != negated);
+      }
+    });
+  });
+  return Status::OK();
+}
+
+template <typename Emit>
+Status InKernel(const InListExpr& e, const EvalContext& ctx,
+                const Emit& emit) {
+  Operand c;
+  AGORA_RETURN_IF_ERROR(BindOperand(*e.child(), ctx, &c));
+  CountBatch(ctx, ctx.NumRows());
+  InCandidates cands(e.values(), c.vec->type() == TypeId::kDouble);
+  emit(c.constant, [&](size_t k, auto& sink) {
+    VisitNative(c, [&](const auto& cr) {
+      InLoop(cr, cands, e.negated(), k, sink);
+    });
+  });
+  return Status::OK();
 }
 
 /// Copies CASE branch `r` (read as T) into the output rows whose pick
@@ -507,35 +673,7 @@ Status LiteralExpr::EvalBatch(const EvalContext& ctx,
 
 Status ComparisonExpr::EvalBatch(const EvalContext& ctx,
                                  ColumnVector* out) const {
-  Operand l, r;
-  AGORA_RETURN_IF_ERROR(BindOperand(*left_, ctx, &l));
-  AGORA_RETURN_IF_ERROR(BindOperand(*right_, ctx, &r));
-  size_t n = ctx.NumRows();
-  CountBatch(ctx, n);
-
-  bool l_str = l.vec->type() == TypeId::kString;
-  bool r_str = r.vec->type() == TypeId::kString;
-  if (l_str != r_str) {
-    return Status::TypeError(
-        "cannot compare " + std::string(TypeIdToString(l.vec->type())) +
-        " with " + std::string(TypeIdToString(r.vec->type())));
-  }
-  bool any_double = l.vec->type() == TypeId::kDouble ||
-                    r.vec->type() == TypeId::kDouble;
-  EmitBool(l.constant && r.constant, n, out,
-           [&](size_t k, uint8_t* ov, int64_t* ob) {
-             auto loop = [&](const auto& lr, const auto& rr) {
-               DispatchCompare(op_, lr, rr, k, ov, ob);
-             };
-             if (l_str) {
-               VisitPair<std::string>(l, r, loop);
-             } else if (any_double) {
-               VisitPair<double>(l, r, loop);
-             } else {
-               VisitPair<int64_t>(l, r, loop);
-             }
-           });
-  return Status::OK();
+  return CompareKernel(*this, ctx, ToColumn{ctx.NumRows(), out});
 }
 
 Status ArithmeticExpr::EvalBatch(const EvalContext& ctx,
@@ -656,54 +794,16 @@ Status NotExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
 
 Status IsNullExpr::EvalBatch(const EvalContext& ctx,
                              ColumnVector* out) const {
-  Operand c;
-  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
-  size_t n = ctx.NumRows();
-  CountBatch(ctx, n);
-  EmitBool(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
-    VisitNative(c, [&](const auto& cr) {
-      for (size_t i = 0; i < k; ++i) {
-        ov[i] = 1;
-        ob[i] = (cr.Null(i) != negated_) ? 1 : 0;
-      }
-    });
-  });
-  return Status::OK();
+  return IsNullKernel(*this, ctx, ToColumn{ctx.NumRows(), out});
 }
 
 Status LikeExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
-  Operand c;
-  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
-  if (c.vec->type() != TypeId::kString) {
-    return Status::TypeError("LIKE operand is not VARCHAR");
-  }
-  size_t n = ctx.NumRows();
-  CountBatch(ctx, n);
-  EmitBool(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
-    Visit<std::string>(c, [&](const auto& cr) {
-      for (size_t i = 0; i < k; ++i) {
-        bool valid = !cr.Null(i);
-        ov[i] = valid ? 1 : 0;
-        ob[i] = (valid && LikeMatch(cr.Get(i), pattern_) != negated_) ? 1 : 0;
-      }
-    });
-  });
-  return Status::OK();
+  return LikeKernel(*this, ctx, ToColumn{ctx.NumRows(), out});
 }
 
 Status InListExpr::EvalBatch(const EvalContext& ctx,
                              ColumnVector* out) const {
-  Operand c;
-  AGORA_RETURN_IF_ERROR(BindOperand(*child_, ctx, &c));
-  size_t n = ctx.NumRows();
-  CountBatch(ctx, n);
-  InCandidates cands(values_, c.vec->type() == TypeId::kDouble);
-  EmitBool(c.constant, n, out, [&](size_t k, uint8_t* ov, int64_t* ob) {
-    VisitNative(c, [&](const auto& cr) {
-      InLoop(cr, cands, negated_, k, ov, ob);
-    });
-  });
-  return Status::OK();
+  return InKernel(*this, ctx, ToColumn{ctx.NumRows(), out});
 }
 
 Status CastExpr::EvalBatch(const EvalContext& ctx, ColumnVector* out) const {
@@ -939,50 +1039,42 @@ Status RefineImpl(const Expr& pred, const Chunk& chunk, Selection* sel,
     return Status::OK();
   }
 
-  // Generic predicate: evaluate the live rows, keep only TRUE ones.
   EvalContext ctx;
   ctx.chunk = &chunk;
   ctx.sel = sel->all ? nullptr : &sel->rows;
   ctx.counters = counters;
-  ColumnVector mask;
-  AGORA_RETURN_IF_ERROR(pred.EvalBatch(ctx, &mask));
-  if (mask.type() != TypeId::kBool) {
+  ToSelection select{ctx.NumRows(), sel};
+  switch (pred.kind()) {
+    case ExprKind::kComparison:
+      return CompareKernel(static_cast<const ComparisonExpr&>(pred), ctx,
+                           select);
+    case ExprKind::kInList:
+      return InKernel(static_cast<const InListExpr&>(pred), ctx, select);
+    case ExprKind::kLike:
+      return LikeKernel(static_cast<const LikeExpr&>(pred), ctx, select);
+    case ExprKind::kIsNull:
+      return IsNullKernel(static_cast<const IsNullExpr&>(pred), ctx, select);
+    default:
+      break;
+  }
+
+  // Any other predicate: bind it as a BOOLEAN operand (a mask evaluated
+  // over the live rows, or a bare column read through the selection) and
+  // select its TRUE rows.
+  Operand mask;
+  AGORA_RETURN_IF_ERROR(BindOperand(pred, ctx, &mask));
+  if (mask.vec->type() != TypeId::kBool) {
     if (nested) {
       return Status::TypeError("logical operand is not BOOLEAN: " +
                                pred.ToString());
     }
     return Status::TypeError("filter predicate is not BOOLEAN");
   }
-  size_t n = ctx.NumRows();
-  if (mask.is_constant()) {
-    if (n == 0) return Status::OK();
-    if (!mask.IsNull(0) && mask.GetBool(0)) return Status::OK();  // all pass
-    sel->all = false;
-    sel->rows.clear();
-    return Status::OK();
-  }
-  const uint8_t* mv = mask.validity_data();
-  const int64_t* mb = mask.int64_data();
-  if (sel->all) {
-    sel->rows.clear();
-    sel->rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (mv[i] != 0 && mb[i] != 0) {
-        sel->rows.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    if (sel->rows.size() == n) {
-      sel->rows.clear();  // everything passed; stay in "all" form
-      return Status::OK();
-    }
-    sel->all = false;
-  } else {
-    size_t k = 0;
-    for (size_t i = 0; i < sel->rows.size(); ++i) {
-      if (mv[i] != 0 && mb[i] != 0) sel->rows[k++] = sel->rows[i];
-    }
-    sel->rows.resize(k);
-  }
+  select(mask.constant, [&](size_t k, auto& sink) {
+    Visit<int64_t>(mask, [&](const auto& mr) {
+      for (size_t i = 0; i < k; ++i) sink(i, !mr.Null(i), mr.Get(i) != 0);
+    });
+  });
   return Status::OK();
 }
 

@@ -56,6 +56,20 @@ Result<ExprPtr> CoerceLiteralTo(ExprPtr lit, TypeId target) {
   return MakeLiteral(std::move(v));
 }
 
+bool IsNullLiteral(const Expr& e) {
+  return e.kind() == ExprKind::kLiteral &&
+         static_cast<const LiteralExpr&>(e).value().is_null();
+}
+
+/// A bare NULL select item has no type of its own; it is typed BIGINT so
+/// its output column has a concrete type.
+ExprPtr TypeBareNull(ExprPtr e) {
+  if (IsNullLiteral(*e) && e->result_type() == TypeId::kInvalid) {
+    return MakeLiteral(Value::Null(TypeId::kInt64));
+  }
+  return e;
+}
+
 bool IsStringLiteral(const ExprPtr& e) {
   return e->kind() == ExprKind::kLiteral &&
          e->result_type() == TypeId::kString;
@@ -429,7 +443,6 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExprPtr& parsed,
     case ParsedExprKind::kCase: {
       size_t pairs = (e.children.size() - (e.case_has_else ? 1 : 0)) / 2;
       std::vector<ExprPtr> conds, results;
-      TypeId result_type = TypeId::kInvalid;
       for (size_t i = 0; i < pairs; ++i) {
         AGORA_ASSIGN_OR_RETURN(ExprPtr c,
                                BindExpr(e.children[2 * i], schema, agg));
@@ -438,16 +451,6 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExprPtr& parsed,
         }
         AGORA_ASSIGN_OR_RETURN(ExprPtr r,
                                BindExpr(e.children[2 * i + 1], schema, agg));
-        if (result_type == TypeId::kInvalid) {
-          result_type = r->result_type();
-        } else if (result_type != r->result_type()) {
-          // Promote int/double mixes; otherwise mismatch.
-          TypeId common = CommonNumericType(result_type, r->result_type());
-          if (common == TypeId::kInvalid) {
-            return Status::TypeError("CASE branches have mismatched types");
-          }
-          result_type = common;
-        }
         conds.push_back(std::move(c));
         results.push_back(std::move(r));
       }
@@ -456,6 +459,24 @@ Result<ExprPtr> Binder::BindExpr(const ParsedExprPtr& parsed,
         AGORA_ASSIGN_OR_RETURN(else_result,
                                BindExpr(e.children.back(), schema, agg));
       }
+      // The result type is the common type of every THEN and the ELSE
+      // (BIGINT with DOUBLE widens to DOUBLE). NULL literals do not vote;
+      // an all-NULL CASE is BIGINT, like a bare NULL select item.
+      std::vector<const Expr*> branches;
+      for (const ExprPtr& r : results) branches.push_back(r.get());
+      if (else_result != nullptr) branches.push_back(else_result.get());
+      TypeId result_type = TypeId::kInvalid;
+      for (const Expr* r : branches) {
+        TypeId t = r->result_type();
+        if (IsNullLiteral(*r) || t == result_type) continue;
+        result_type = result_type == TypeId::kInvalid
+                          ? t
+                          : CommonNumericType(result_type, t);
+        if (result_type == TypeId::kInvalid) {
+          return Status::TypeError("CASE branches have mismatched types");
+        }
+      }
+      if (result_type == TypeId::kInvalid) result_type = TypeId::kInt64;
       return ExprPtr(std::make_shared<CaseExpr>(
           std::move(conds), std::move(results), std::move(else_result),
           result_type));
@@ -1020,7 +1041,7 @@ Result<LogicalOpPtr> Binder::BindSelectCore(const SelectStatement& sel,
                              BindExpr(item.expr, input_schema, &agg_ctx));
       project_names.push_back(item.alias.empty() ? DeriveName(*item.expr)
                                                  : item.alias);
-      project_exprs.push_back(std::move(bound));
+      project_exprs.push_back(TypeBareNull(std::move(bound)));
     }
     ExprPtr having;
     if (sel.having != nullptr) {
@@ -1068,7 +1089,7 @@ Result<LogicalOpPtr> Binder::BindSelectCore(const SelectStatement& sel,
                              BindScalarExpr(item.expr, plan->schema()));
       project_names.push_back(item.alias.empty() ? DeriveName(*item.expr)
                                                  : item.alias);
-      project_exprs.push_back(std::move(bound));
+      project_exprs.push_back(TypeBareNull(std::move(bound)));
     }
     if (bind_order_limit) {
       for (const OrderByItem& item : sel.order_by) {

@@ -1,5 +1,7 @@
 #include "storage/column_vector.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 
 namespace agora {
@@ -8,6 +10,13 @@ namespace {
 /// Heap cost attributed to one element of a string column.
 inline size_t StrCost(const std::string& s) {
   return sizeof(std::string) + s.capacity();
+}
+
+/// StrCost of a copy of `s`: a copied string's capacity is its length,
+/// or the inline (SSO) capacity for short strings.
+inline size_t CopiedStrCost(const std::string& s) {
+  static const size_t kInlineCapacity = std::string().capacity();
+  return sizeof(std::string) + std::max(s.size(), kInlineCapacity);
 }
 
 /// Reps refresh their tracker charge only when the payload drifted this
@@ -37,19 +46,51 @@ void ColumnVector::Rep::Recharge() {
   }
 }
 
-const std::vector<std::string>& ColumnVector::EmptyStrings() {
-  static const std::vector<std::string> kEmpty;
-  return kEmpty;
-}
-
 ColumnVector::Rep* ColumnVector::EnsureUnique() {
-  if (!rep_) {
+  if (view_) {
+    // A view never writes through to the buffer it shares, even as its
+    // last owner: it takes a private copy of just its own rows.
+    rep_ = CopyRows();
+    view_ = false;
+    offset_ = 0;
+    logical_size_ = 0;
+  } else if (!rep_) {
     rep_ = std::make_shared<Rep>();
   } else if (rep_.use_count() > 1) {
     rep_ = std::make_shared<Rep>(*rep_);
   }
   if (constant_) Flatten();
   return rep_.get();
+}
+
+std::shared_ptr<ColumnVector::Rep> ColumnVector::CopyRows() const {
+  AGORA_DCHECK(!constant_);
+  auto dst = std::make_shared<Rep>();
+  const Rep& src = *rep_;
+  size_t first = offset_;
+  size_t end = first + size();
+  dst->validity.assign(src.validity.begin() + first,
+                       src.validity.begin() + end);
+  switch (type_) {
+    case TypeId::kBool:
+    case TypeId::kInt64:
+    case TypeId::kDate:
+      dst->ints.assign(src.ints.begin() + first, src.ints.begin() + end);
+      break;
+    case TypeId::kDouble:
+      dst->doubles.assign(src.doubles.begin() + first,
+                          src.doubles.begin() + end);
+      break;
+    case TypeId::kString:
+      dst->strings.assign(src.strings.begin() + first,
+                          src.strings.begin() + end);
+      for (const auto& s : dst->strings) dst->string_bytes += StrCost(s);
+      break;
+    case TypeId::kInvalid:
+      break;
+  }
+  dst->Recharge();
+  return dst;
 }
 
 ColumnVector ColumnVector::MakeConstant(TypeId type, const Value& v,
@@ -113,14 +154,20 @@ void ColumnVector::Reserve(size_t n) {
 void ColumnVector::Clear() {
   rep_.reset();
   constant_ = false;
+  view_ = false;
+  offset_ = 0;
   logical_size_ = 0;
 }
 
 void ColumnVector::ResizeForOverwrite(size_t n) {
   // A shared rep is dropped rather than cloned: the contents are about to
   // be overwritten, so copying them would be pure waste.
-  if (!rep_ || rep_.use_count() > 1) rep_ = std::make_shared<Rep>();
+  if (!rep_ || rep_.use_count() > 1 || view_) {
+    rep_ = std::make_shared<Rep>();
+  }
   constant_ = false;
+  view_ = false;
+  offset_ = 0;
   logical_size_ = 0;
   Rep* rep = rep_.get();
   rep->validity.resize(n);
@@ -305,8 +352,9 @@ void ColumnVector::SetString(size_t i, std::string v) {
 
 bool ColumnVector::AllValid() const {
   if (!rep_) return true;
-  for (uint8_t v : rep_->validity) {
-    if (v == 0) return false;
+  size_t n = constant_ ? 1 : size();
+  for (size_t i = 0; i < n; ++i) {
+    if (rep_->validity[offset_ + i] == 0) return false;
   }
   return true;
 }
@@ -333,23 +381,24 @@ void ColumnVector::HashBatch(uint64_t* hashes, size_t n, bool combine,
   AGORA_DCHECK(n <= size());
   if (!rep_) return;  // empty vector: size() == 0, so n == 0
   const Rep& rep = *rep_;
+  const size_t o = offset_;
   auto emit = [&](size_t i, uint64_t h) {
     hashes[i] = combine ? HashCombine(hashes[i], h) : h;
   };
   switch (type_) {
     case TypeId::kString:
       for (size_t i = 0; i < n; ++i) {
-        emit(i,
-             rep.validity[i] != 0 ? HashString(rep.strings[i]) : kNullHash);
+        emit(i, rep.validity[o + i] != 0 ? HashString(rep.strings[o + i])
+                                         : kNullHash);
       }
       break;
     case TypeId::kDouble:
       for (size_t i = 0; i < n; ++i) {
-        if (rep.validity[i] == 0) {
+        if (rep.validity[o + i] == 0) {
           emit(i, kNullHash);
           continue;
         }
-        double d = rep.doubles[i];
+        double d = rep.doubles[o + i];
         if (normalize_zero && d == 0.0) d = 0.0;
         uint64_t bits;
         std::memcpy(&bits, &d, sizeof(bits));
@@ -358,8 +407,8 @@ void ColumnVector::HashBatch(uint64_t* hashes, size_t n, bool combine,
       break;
     default:
       for (size_t i = 0; i < n; ++i) {
-        emit(i, rep.validity[i] != 0
-                    ? HashMix64(static_cast<uint64_t>(rep.ints[i]))
+        emit(i, rep.validity[o + i] != 0
+                    ? HashMix64(static_cast<uint64_t>(rep.ints[o + i]))
                     : kNullHash);
       }
       break;
@@ -380,7 +429,7 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
     case TypeId::kString:
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
-        size_t a = rows[i], b = other_rows[i];
+        size_t a = offset_ + rows[i], b = other.offset_ + other_rows[i];
         bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
         equal[i] = (an || bn) ? (an && bn)
                               : (lhs.strings[a] == rhs.strings[b]);
@@ -389,7 +438,7 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
     case TypeId::kDouble:
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
-        size_t a = rows[i], b = other_rows[i];
+        size_t a = offset_ + rows[i], b = other.offset_ + other_rows[i];
         bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
         if (an || bn) {
           equal[i] = an && bn;
@@ -411,7 +460,7 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
     default:
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
-        size_t a = rows[i], b = other_rows[i];
+        size_t a = offset_ + rows[i], b = other.offset_ + other_rows[i];
         bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
         equal[i] = (an || bn) ? (an && bn) : (lhs.ints[a] == rhs.ints[b]);
       }
@@ -430,6 +479,7 @@ void ColumnVector::AppendGatherPadded(const ColumnVector& src,
   // an empty build side); fall back to an empty Rep so no entry can index it.
   static const Rep kEmptyRep(nullptr);
   const Rep& in = src.rep_ ? *src.rep_ : kEmptyRep;
+  const size_t o = src.offset_;
   out->validity.reserve(out->validity.size() + n);
   switch (type_) {
     case TypeId::kBool:
@@ -438,28 +488,28 @@ void ColumnVector::AppendGatherPadded(const ColumnVector& src,
       out->ints.reserve(out->ints.size() + n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
-        bool valid = s != kPad && in.validity[s] != 0;
+        bool valid = s != kPad && in.validity[o + s] != 0;
         out->validity.push_back(valid ? 1 : 0);
-        out->ints.push_back(valid ? in.ints[s] : 0);
+        out->ints.push_back(valid ? in.ints[o + s] : 0);
       }
       break;
     case TypeId::kDouble:
       out->doubles.reserve(out->doubles.size() + n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
-        bool valid = s != kPad && in.validity[s] != 0;
+        bool valid = s != kPad && in.validity[o + s] != 0;
         out->validity.push_back(valid ? 1 : 0);
-        out->doubles.push_back(valid ? in.doubles[s] : 0.0);
+        out->doubles.push_back(valid ? in.doubles[o + s] : 0.0);
       }
       break;
     case TypeId::kString:
       out->strings.reserve(out->strings.size() + n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
-        bool valid = s != kPad && in.validity[s] != 0;
+        bool valid = s != kPad && in.validity[o + s] != 0;
         out->validity.push_back(valid ? 1 : 0);
         if (valid) {
-          out->strings.push_back(in.strings[s]);
+          out->strings.push_back(in.strings[o + s]);
         } else {
           out->strings.emplace_back();
         }
@@ -511,46 +561,42 @@ ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
 }
 
 ColumnVector ColumnVector::Slice(size_t begin, size_t count) const {
-  size_t end = begin + count;
-  AGORA_DCHECK(end <= size());
+  AGORA_DCHECK(begin + count <= size());
   if (begin == 0 && count == size()) return *this;  // zero-copy share
-  if (constant_) {
-    ColumnVector out = *this;
-    out.logical_size_ = count;
-    if (count == 0) out.Clear();
-    return out;
+  if (count == 0) return ColumnVector(type_);
+  ColumnVector out = *this;
+  out.logical_size_ = count;
+  if (!constant_) {
+    out.view_ = true;
+    out.offset_ = offset_ + begin;
   }
-  ColumnVector out(type_);
-  if (count == 0) return out;
-  Rep* dst = out.EnsureUnique();
-  const Rep& src = *rep_;
-  dst->validity.assign(src.validity.begin() + begin,
-                       src.validity.begin() + end);
-  switch (type_) {
-    case TypeId::kBool:
-    case TypeId::kInt64:
-    case TypeId::kDate:
-      dst->ints.assign(src.ints.begin() + begin, src.ints.begin() + end);
-      break;
-    case TypeId::kDouble:
-      dst->doubles.assign(src.doubles.begin() + begin,
-                          src.doubles.begin() + end);
-      break;
-    case TypeId::kString:
-      dst->strings.assign(src.strings.begin() + begin,
-                          src.strings.begin() + end);
-      for (const auto& s : dst->strings) dst->string_bytes += StrCost(s);
-      break;
-    case TypeId::kInvalid:
-      break;
-  }
-  dst->Recharge();
   return out;
 }
 
 size_t ColumnVector::MemoryBytes() const {
   if (!rep_) return 0;
   const Rep& rep = *rep_;
+  if (view_) {
+    // The bytes of the exact-capacity copy EnsureUnique() would make.
+    size_t n = logical_size_;
+    switch (type_) {
+      case TypeId::kBool:
+      case TypeId::kInt64:
+      case TypeId::kDate:
+        return n * (1 + sizeof(int64_t));
+      case TypeId::kDouble:
+        return n * (1 + sizeof(double));
+      case TypeId::kString: {
+        size_t bytes = n;
+        for (size_t i = 0; i < n; ++i) {
+          bytes += CopiedStrCost(rep.strings[offset_ + i]);
+        }
+        return bytes;
+      }
+      case TypeId::kInvalid:
+        return n;
+    }
+  }
   return rep.validity.capacity() + rep.ints.capacity() * sizeof(int64_t) +
          rep.doubles.capacity() * sizeof(double) + rep.string_bytes;
 }
@@ -564,6 +610,12 @@ Status ColumnVector::CheckConsistency() const {
           std::to_string(rows));
     }
     rows = 1;  // payload check below covers the single physical row
+  }
+  if (view_ && offset_ + logical_size_ > rows) {
+    return Status::Internal(
+        "column vector view of rows [" + std::to_string(offset_) + ", " +
+        std::to_string(offset_ + logical_size_) +
+        ") runs past its buffer of " + std::to_string(rows) + " rows");
   }
   size_t payload = 0;
   switch (type_) {

@@ -27,8 +27,16 @@ namespace agora {
 /// `Rep`; copying a ColumnVector shares it (O(1)), and every mutating
 /// entry point calls EnsureUnique() to clone first when the buffer is
 /// shared. A column reference in an expression is therefore a pointer
-/// bump, and Table::GetChunk can hand out whole-column views safely:
-/// a later Table mutation clones its own copy, never the reader's.
+/// bump, and Table::GetChunk can hand out block views safely: a later
+/// Table mutation clones its own copy, never the reader's.
+///
+/// *Views.* Slice() of a flat vector is an O(1) view: the shared `Rep`
+/// plus a row offset, `size()` rows long. Every accessor, raw pointer and
+/// batch kernel reads through the offset. A view is never mutated in
+/// place: EnsureUnique() copies just the view's rows into a new buffer,
+/// even when the view is the buffer's last owner. MemoryBytes() of a view
+/// reports what that copy would, so byte accounting does not depend on
+/// whether a block was copied or viewed.
 ///
 /// *Constant form.* A vector may represent `n` logical repetitions of a
 /// single physical row (literals, folded expressions). Element accessors
@@ -42,7 +50,7 @@ class ColumnVector {
 
   TypeId type() const { return type_; }
   size_t size() const {
-    if (constant_) return logical_size_;
+    if (constant_ || view_) return logical_size_;
     return rep_ ? rep_->validity.size() : 0;
   }
   bool empty() const { return size() == 0; }
@@ -104,19 +112,19 @@ class ColumnVector {
   // -- Raw data (hot loops; flat vectors only) ---------------------------
   const int64_t* int64_data() const {
     AGORA_DCHECK(!constant_);
-    return rep_ ? rep_->ints.data() : nullptr;
+    return rep_ ? rep_->ints.data() + offset_ : nullptr;
   }
   const double* double_data() const {
     AGORA_DCHECK(!constant_);
-    return rep_ ? rep_->doubles.data() : nullptr;
+    return rep_ ? rep_->doubles.data() + offset_ : nullptr;
   }
-  const std::vector<std::string>& string_data() const {
+  const std::string* string_data() const {
     AGORA_DCHECK(!constant_);
-    return rep_ ? rep_->strings : EmptyStrings();
+    return rep_ ? rep_->strings.data() + offset_ : nullptr;
   }
   const uint8_t* validity_data() const {
     AGORA_DCHECK(!constant_);
-    return rep_ ? rep_->validity.data() : nullptr;
+    return rep_ ? rep_->validity.data() + offset_ : nullptr;
   }
   int64_t* mutable_int64_data() { return EnsureUnique()->ints.data(); }
   double* mutable_double_data() { return EnsureUnique()->doubles.data(); }
@@ -164,13 +172,17 @@ class ColumnVector {
   /// Gathers `sel[0..n)` rows into a new vector (selection apply).
   ColumnVector Gather(const std::vector<uint32_t>& sel) const;
 
-  /// Copies rows [begin, begin+count) into a new vector. A whole-vector
-  /// slice of a flat vector shares the buffer (zero copy).
+  /// Rows [begin, begin+count) as an O(1) view sharing this vector's
+  /// buffer (a whole-vector slice is a plain share).
   ColumnVector Slice(size_t begin, size_t count) const;
+
+  /// True for a view made by Slice() over part of a buffer.
+  bool is_view() const { return view_; }
 
   /// Approximate heap bytes used (for resource accounting). Shared
   /// buffers are counted once per referencing vector, matching the
-  /// deep-copy accounting this replaced.
+  /// deep-copy accounting this replaced; a view counts the bytes of the
+  /// copy of its rows that EnsureUnique() would make.
   size_t MemoryBytes() const;
 
   /// Debug verification (AGORA_VERIFY): checks that the payload array for
@@ -215,18 +227,22 @@ class ColumnVector {
     MemoryCharge charge;
   };
 
-  size_t PhysRow(size_t i) const { return constant_ ? 0 : i; }
+  size_t PhysRow(size_t i) const { return constant_ ? 0 : offset_ + i; }
 
-  /// Clones the rep when shared, creates it when absent, and flattens the
-  /// constant form — after this call mutation is safe.
+  /// Clones the rep when shared, copies a view's rows out, creates the
+  /// rep when absent, and flattens the constant form — after this call
+  /// mutation is safe and the vector is an owned, offset-free buffer.
   Rep* EnsureUnique();
 
-  static const std::vector<std::string>& EmptyStrings();
+  /// A new exact-capacity Rep holding a copy of this flat vector's rows.
+  std::shared_ptr<Rep> CopyRows() const;
 
   TypeId type_;
   std::shared_ptr<Rep> rep_;
   bool constant_ = false;
-  size_t logical_size_ = 0;  // meaningful only when constant_
+  bool view_ = false;
+  size_t offset_ = 0;        // first physical row; non-zero only in a view
+  size_t logical_size_ = 0;  // meaningful only when constant_ or view_
 };
 
 }  // namespace agora

@@ -75,8 +75,8 @@ class HashIndex {
 /// An in-memory columnar table: one ColumnVector per field plus optional
 /// zone maps and secondary indexes. Append-only; row ids are positions.
 ///
-/// Concurrency: concurrent readers (GetChunk/GetChunkView/GetRow/
-/// GetHashIndex/zone_maps) are safe with each other and with
+/// Concurrency: concurrent readers (GetChunk/GetRow/GetHashIndex/
+/// zone_maps) are safe with each other and with
 /// BuildHashIndex/BuildZoneMaps — the derived-structure registries are
 /// internally locked and hand out shared_ptr snapshots, so a SELECT
 /// racing CREATE INDEX (or a sibling scan's lazy zone-map build) either
@@ -115,16 +115,13 @@ class Table {
   /// zone maps and indexes.
   Status SetCell(size_t row, size_t column, const Value& v);
 
-  /// Materializes rows [start, start+count) as a Chunk, optionally
-  /// projecting a subset of columns (empty = all, in schema order).
+  /// Rows [start, start+count) as a Chunk of O(1) column views sharing
+  /// the table's buffers, optionally projecting a subset of columns
+  /// (empty = all, in schema order). Copy-on-write protects a held view
+  /// from later table mutations; a writer must drop its own views before
+  /// mutating, or the mutation clones the whole column.
   Chunk GetChunk(size_t start, size_t count,
                  const std::vector<size_t>& projection = {}) const;
-
-  /// Zero-copy view of the whole table as one Chunk: columns share the
-  /// table's buffers (copy-on-write protects readers from later table
-  /// mutations). Used by the fused scan-filter path, which refines a
-  /// selection over the view and gathers surviving rows once per block.
-  Chunk GetChunkView(const std::vector<size_t>& projection = {}) const;
 
   /// Boxes one row (slow path).
   std::vector<Value> GetRow(size_t row) const;

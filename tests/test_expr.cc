@@ -720,6 +720,20 @@ Chunk MakeEdgeChunk(size_t rows = 630) {
   return chunk;
 }
 
+/// The edge chunk as column views: rows [offset, offset + rows) of a
+/// longer edge chunk, the offset off every block boundary, so each kernel
+/// reads through a non-zero view offset. The views outlive the chunk they
+/// were sliced from.
+Chunk MakeEdgeViewChunk(size_t rows = 630, size_t offset = 2048 + 5) {
+  Chunk whole = MakeEdgeChunk(offset + rows + 11);
+  Chunk view;
+  for (size_t c = 0; c < whole.num_columns(); ++c) {
+    view.AddColumn(whole.column(c).Slice(offset, rows));
+  }
+  view.SetExplicitRowCount(rows);
+  return view;
+}
+
 /// One BIGINT, DOUBLE and VARCHAR operand of a given shape.
 struct Operands {
   ExprPtr n, x, s;
@@ -755,7 +769,20 @@ ExprPtr Like(ExprPtr e, std::string pattern, bool negated = false) {
 
 std::vector<ExprPtr> KindPredicates(const Operands& o) {
   const Value nan = Value::Double(std::nan(""));
-  return {
+  std::vector<ExprPtr> preds;
+  // Every comparison operator: BIGINT vs DOUBLE and VARCHAR vs VARCHAR
+  // operands of this shape (column vs column when dense), and each
+  // against a constant-form column and a literal.
+  ExprPtr cs = MakeColumnRef(5, TypeId::kString, "cs");
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                       CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+    preds.push_back(MakeCompare(op, o.n, o.x));
+    preds.push_back(MakeCompare(op, o.s, o.s));
+    preds.push_back(MakeCompare(op, o.s, cs));
+    preds.push_back(MakeCompare(op, o.x, MakeLiteral(Value::Double(0.0))));
+    preds.push_back(MakeCompare(op, MakeLiteral(Value::Int64(1)), o.n));
+  }
+  std::vector<ExprPtr> kinds = {
       In(o.s, {Value::String("MAIL"), Value::String("SHIP")}),
       In(o.s, {Value::String("MAIL"), Value::Null()}, /*negated=*/true),
       // A number never equals a string.
@@ -778,6 +805,8 @@ std::vector<ExprPtr> KindPredicates(const Operands& o) {
       MakeNot(In(o.s, {Value::String("AIR")})),
       MakeNot(IsNull(o.n)),
   };
+  preds.insert(preds.end(), kinds.begin(), kinds.end());
+  return preds;
 }
 
 /// CASE with a BOOLEAN-NULL condition, a NULL branch and an implicit
@@ -815,7 +844,8 @@ std::vector<uint32_t> EveryThirdRow(size_t rows) {
 }
 
 TEST(ExprOracleTest, InLikeIsNullCaseInEveryShape) {
-  for (const Chunk& chunk : {MakeEdgeChunk(), MakeEdgeChunk(2048 + 37)}) {
+  for (const Chunk& chunk :
+       {MakeEdgeChunk(), MakeEdgeChunk(2048 + 37), MakeEdgeViewChunk()}) {
     std::vector<uint32_t> narrowed = EveryThirdRow(chunk.num_rows());
     for (const Operands& o :
          {DenseOperands(), ConstColumnOperands(), LiteralOperands()}) {
@@ -830,29 +860,30 @@ TEST(ExprOracleTest, InLikeIsNullCaseInEveryShape) {
 }
 
 TEST(SelectionTest, RefineSelectionMatchesBruteForceForEveryKind) {
-  Chunk chunk = MakeEdgeChunk();
-  std::vector<uint32_t> all(chunk.num_rows());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  std::vector<uint32_t> narrowed = EveryThirdRow(chunk.num_rows());
-  for (const Operands& o :
-       {DenseOperands(), ConstColumnOperands(), LiteralOperands()}) {
-    for (const ExprPtr& pred : KindPredicates(o)) {
-      for (const std::vector<uint32_t>* start : {&all, &narrowed}) {
-        Selection sel;
-        if (start == &narrowed) {
-          sel.all = false;
-          sel.rows = narrowed;
+  for (const Chunk& chunk : {MakeEdgeChunk(), MakeEdgeViewChunk()}) {
+    std::vector<uint32_t> all(chunk.num_rows());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+    std::vector<uint32_t> narrowed = EveryThirdRow(chunk.num_rows());
+    for (const Operands& o :
+         {DenseOperands(), ConstColumnOperands(), LiteralOperands()}) {
+      for (const ExprPtr& pred : KindPredicates(o)) {
+        for (const std::vector<uint32_t>* start : {&all, &narrowed}) {
+          Selection sel;
+          if (start == &narrowed) {
+            sel.all = false;
+            sel.rows = narrowed;
+          }
+          ASSERT_TRUE(RefineSelection(*pred, chunk, &sel, nullptr).ok())
+              << pred->ToString();
+          std::vector<uint32_t> got = sel.all ? all : sel.rows;
+          std::vector<uint32_t> want;
+          for (uint32_t r : *start) {
+            Value v = OracleEval(*pred, chunk, r);
+            if (!v.is_null() && v.bool_value()) want.push_back(r);
+          }
+          ASSERT_EQ(got, want) << pred->ToString()
+                               << (start == &all ? " from all" : " narrowed");
         }
-        ASSERT_TRUE(RefineSelection(*pred, chunk, &sel, nullptr).ok())
-            << pred->ToString();
-        std::vector<uint32_t> got = sel.all ? all : sel.rows;
-        std::vector<uint32_t> want;
-        for (uint32_t r : *start) {
-          Value v = OracleEval(*pred, chunk, r);
-          if (!v.is_null() && v.bool_value()) want.push_back(r);
-        }
-        ASSERT_EQ(got, want) << pred->ToString()
-                             << (start == &all ? " from all" : " narrowed");
       }
     }
   }

@@ -229,6 +229,20 @@ TEST_F(QueryHandlerTest, QueryReturnsRowsMatchingEmbeddedExecution) {
   EXPECT_NE(response.body.find("\"row_count\": 3"), std::string::npos);
 }
 
+TEST_F(QueryHandlerTest, BareNullSelectItemIsServedAndServerStaysUp) {
+  // `SELECT NULL` used to abort the process on an INVALID-typed column.
+  const std::string sql = "SELECT NULL FROM t";
+  HttpResponse response = Post("/query", "{\"sql\": \"" + sql + "\"}");
+  ASSERT_EQ(response.status, 200) << response.body;
+  auto embedded = db_.Execute(sql);
+  ASSERT_TRUE(embedded.ok());
+  EXPECT_EQ(response.body, QueryHandler::SerializeResultJson(*embedded));
+  EXPECT_NE(response.body.find("\"row_count\": 3"), std::string::npos);
+  // The next request is answered.
+  EXPECT_EQ(Post("/query", R"({"sql": "SELECT a FROM t"})").status, 200);
+  EXPECT_EQ(Get("/healthz").status, 200);
+}
+
 TEST_F(QueryHandlerTest, BadJsonBodyIs400) {
   EXPECT_EQ(Post("/query", "this is not json").status, 400);
   EXPECT_EQ(Post("/query", "[1, 2, 3]").status, 400);

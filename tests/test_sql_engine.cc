@@ -230,6 +230,45 @@ TEST_F(SqlEngineTest, CaseExpression) {
   EXPECT_EQ(r.Get(1, 1).string_value(), "junior");
 }
 
+TEST_F(SqlEngineTest, CaseTypesOverEveryBranchIncludingElse) {
+  // ELSE votes in the result type: BIGINT with DOUBLE widens to DOUBLE.
+  QueryResult r = Exec(
+      "SELECT CASE WHEN id = 1 THEN 1 ELSE 2.5 END FROM users ORDER BY id");
+  ASSERT_EQ(r.num_rows(), 5u);
+  EXPECT_EQ(r.schema().field(0).type, TypeId::kDouble);
+  EXPECT_EQ(r.Get(0, 0).double_value(), 1.0);
+  EXPECT_EQ(r.Get(1, 0).double_value(), 2.5);
+  // NULL branches do not vote.
+  r = Exec(
+      "SELECT CASE WHEN id = 2 THEN NULL WHEN id = 3 THEN 2.5 ELSE age END "
+      "FROM users ORDER BY id");
+  EXPECT_EQ(r.schema().field(0).type, TypeId::kDouble);
+  EXPECT_EQ(r.Get(0, 0).double_value(), 30.0);
+  EXPECT_TRUE(r.Get(1, 0).is_null());
+  EXPECT_EQ(r.Get(2, 0).double_value(), 2.5);
+  // An all-NULL CASE is BIGINT and NULL on every row.
+  r = Exec("SELECT CASE WHEN id = 2 THEN NULL END FROM users ORDER BY id");
+  ASSERT_EQ(r.num_rows(), 5u);
+  EXPECT_EQ(r.schema().field(0).type, TypeId::kInt64);
+  for (size_t i = 0; i < r.num_rows(); ++i) EXPECT_TRUE(r.Get(i, 0).is_null());
+  // Branches with no common type are a bind-time TypeError.
+  EXPECT_EQ(ExecError("SELECT CASE WHEN id = 1 THEN 1 ELSE 'x' END "
+                      "FROM users")
+                .code(),
+            StatusCode::kTypeError);
+}
+
+TEST_F(SqlEngineTest, BareNullSelectItemIsBigintNull) {
+  QueryResult r = Exec("SELECT NULL, id FROM users ORDER BY id");
+  ASSERT_EQ(r.num_rows(), 5u);
+  EXPECT_EQ(r.schema().field(0).type, TypeId::kInt64);
+  for (size_t i = 0; i < r.num_rows(); ++i) EXPECT_TRUE(r.Get(i, 0).is_null());
+  r = Exec("SELECT NULL AS n, COUNT(*) FROM users");
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_TRUE(r.Get(0, 0).is_null());
+  EXPECT_EQ(r.Get(0, 1).int64_value(), 5);
+}
+
 TEST_F(SqlEngineTest, NullHandling) {
   Exec("INSERT INTO users (id, name) VALUES (6, 'frank')");
   // NULL age: excluded by any comparison.

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <numeric>
 #include <sstream>
 
+#include "engine/database.h"
 #include "storage/catalog.h"
 #include "storage/csv.h"
 #include "storage/table.h"
@@ -68,6 +72,235 @@ TEST(ColumnVectorTest, SetValueMutatesInPlace) {
   EXPECT_EQ(col.GetInt64(0), 9);
   col.SetValue(0, Value::Null());
   EXPECT_TRUE(col.IsNull(0));
+}
+
+// ---------------------------------------------------------------------
+// Column views: Slice() shares the buffer at a row offset. A view must
+// read every cell, hash, compare and gather like the copy it replaces,
+// account the same bytes, and never write through to the shared buffer.
+
+/// A 3000-row column of `type` whose cells cycle through NULL and edge
+/// values: NaN, -0.0 and +0.0 doubles, and empty, inline and heap-sized
+/// strings.
+ColumnVector MakeEdgeColumn(TypeId type) {
+  const Value ints[] = {Value::Int64(7), Value::Null(), Value::Int64(-3),
+                        Value::Int64(0), Value::Int64(INT64_MAX)};
+  const Value doubles[] = {Value::Double(std::nan("")), Value::Double(-0.0),
+                           Value::Null(), Value::Double(0.0),
+                           Value::Double(2.5), Value::Double(-1e300)};
+  const Value strings[] = {
+      Value::String(""), Value::String("MAIL"), Value::Null(),
+      Value::String("a string well past the inline buffer"),
+      Value::String("exactly15 chars"), Value::String("sixteen chars!!!")};
+  ColumnVector col(type);
+  for (size_t r = 0; r < 3000; ++r) {
+    switch (type) {
+      case TypeId::kBool:
+        col.AppendValue(r % 3 == 1 ? Value::Null() : Value::Bool(r % 2 == 0));
+        break;
+      case TypeId::kInt64:
+        col.AppendValue(ints[r % 5]);
+        break;
+      case TypeId::kDate:
+        col.AppendValue(r % 4 == 2 ? Value::Null()
+                                   : Value::Date(static_cast<int64_t>(r)));
+        break;
+      case TypeId::kDouble:
+        col.AppendValue(doubles[r % 6]);
+        break;
+      case TypeId::kString:
+        col.AppendValue(strings[r % 6]);
+        break;
+      case TypeId::kInvalid:
+        break;
+    }
+  }
+  return col;
+}
+
+constexpr TypeId kViewTypes[] = {TypeId::kBool, TypeId::kInt64,
+                                 TypeId::kDate, TypeId::kDouble,
+                                 TypeId::kString};
+// Off every block boundary, so an ignored offset reads the wrong rows.
+constexpr size_t kViewBegin = 2048 + 5;
+constexpr size_t kViewRows = 700;
+
+/// An owned copy of rows [begin, begin+count) of `col`, built by a gather
+/// (exact-capacity arrays, copied strings), like the block copies views
+/// replace.
+ColumnVector CopyOfRows(const ColumnVector& col, size_t begin,
+                        size_t count) {
+  std::vector<uint32_t> rows(count);
+  std::iota(rows.begin(), rows.end(), static_cast<uint32_t>(begin));
+  return col.Gather(rows);
+}
+
+void ExpectSameCells(const ColumnVector& got, const ColumnVector& want) {
+  ASSERT_EQ(got.type(), want.type());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.IsNull(i), want.IsNull(i)) << "row " << i;
+    if (want.IsNull(i)) continue;
+    switch (want.type()) {
+      case TypeId::kDouble: {
+        double a = got.GetDouble(i), b = want.GetDouble(i);
+        ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << "row " << i;
+        break;
+      }
+      case TypeId::kString:
+        ASSERT_EQ(got.GetString(i), want.GetString(i)) << "row " << i;
+        break;
+      default:
+        ASSERT_EQ(got.GetInt64(i), want.GetInt64(i)) << "row " << i;
+        break;
+    }
+  }
+}
+
+TEST(ColumnViewTest, ViewReadsLikeTheCopyItReplacesForEveryType) {
+  for (TypeId type : kViewTypes) {
+    SCOPED_TRACE(TypeIdToString(type));
+    ColumnVector col = MakeEdgeColumn(type);
+    ColumnVector view = col.Slice(kViewBegin, kViewRows);
+    ColumnVector copy = CopyOfRows(col, kViewBegin, kViewRows);
+    ASSERT_TRUE(view.is_view());
+    ASSERT_TRUE(view.CheckConsistency().ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectSameCells(view, copy));
+    EXPECT_EQ(view.AllValid(), copy.AllValid());
+
+    // Raw pointers start at the view's first row.
+    for (size_t i = 0; i < kViewRows; ++i) {
+      ASSERT_EQ(view.validity_data()[i], copy.validity_data()[i]);
+      if (copy.IsNull(i)) continue;
+      if (type == TypeId::kString) {
+        ASSERT_EQ(view.string_data()[i], copy.string_data()[i]);
+      } else if (type == TypeId::kDouble) {
+        ASSERT_EQ(std::memcmp(&view.double_data()[i], &copy.double_data()[i],
+                              sizeof(double)),
+                  0);
+      } else {
+        ASSERT_EQ(view.int64_data()[i], copy.int64_data()[i]);
+      }
+    }
+
+    // Batch kernels.
+    std::vector<uint64_t> hv(kViewRows, 1), hc(kViewRows, 1);
+    view.HashBatch(hv.data(), kViewRows, /*combine=*/true,
+                   /*normalize_zero=*/true);
+    copy.HashBatch(hc.data(), kViewRows, /*combine=*/true,
+                   /*normalize_zero=*/true);
+    EXPECT_EQ(hv, hc);
+    std::vector<uint32_t> rows(kViewRows), mirrored(kViewRows);
+    for (size_t i = 0; i < kViewRows; ++i) {
+      rows[i] = static_cast<uint32_t>(i);
+      mirrored[i] = static_cast<uint32_t>((i * 7) % kViewRows);
+    }
+    for (bool bitwise : {false, true}) {
+      std::vector<uint8_t> ev(kViewRows, 1), ec(kViewRows, 1);
+      view.BatchEqualRows(rows.data(), view, mirrored.data(), kViewRows,
+                          bitwise, ev.data());
+      copy.BatchEqualRows(rows.data(), copy, mirrored.data(), kViewRows,
+                          bitwise, ec.data());
+      EXPECT_EQ(ev, ec);
+    }
+    for (size_t i = 0; i < kViewRows; ++i) {
+      ASSERT_EQ(view.HashRow(i), copy.HashRow(i)) << "row " << i;
+      ASSERT_EQ(view.CompareRows(i, view, mirrored[i]),
+                copy.CompareRows(i, copy, mirrored[i]))
+          << "row " << i;
+    }
+    std::vector<uint32_t> pick = {0, 699, UINT32_MAX, 350, 1};
+    ColumnVector gv(type), gc(type);
+    gv.AppendGatherPadded(view, pick.data(), pick.size());
+    gc.AppendGatherPadded(copy, pick.data(), pick.size());
+    ASSERT_NO_FATAL_FAILURE(ExpectSameCells(gv, gc));
+
+    // A view of a view composes the offsets.
+    ColumnVector inner = view.Slice(13, 100);
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameCells(inner, CopyOfRows(copy, 13, 100)));
+  }
+}
+
+TEST(ColumnViewTest, ViewAccountsTheBytesOfItsCopy) {
+  for (TypeId type : kViewTypes) {
+    SCOPED_TRACE(TypeIdToString(type));
+    ColumnVector col = MakeEdgeColumn(type);
+    ColumnVector view = col.Slice(kViewBegin, kViewRows);
+    EXPECT_EQ(view.MemoryBytes(),
+              CopyOfRows(col, kViewBegin, kViewRows).MemoryBytes());
+    // A whole-vector slice is a plain share and counts the buffer.
+    EXPECT_EQ(col.Slice(0, col.size()).MemoryBytes(), col.MemoryBytes());
+  }
+}
+
+TEST(ColumnViewTest, WritingToAViewCopiesOnlyItsRows) {
+  for (TypeId type : kViewTypes) {
+    SCOPED_TRACE(TypeIdToString(type));
+    ColumnVector col = MakeEdgeColumn(type);
+    ColumnVector before = CopyOfRows(col, 0, col.size());
+    ColumnVector copy = CopyOfRows(col, kViewBegin, kViewRows);
+
+    // Appending to a view: the view's rows plus the new one.
+    ColumnVector appended = col.Slice(kViewBegin, kViewRows);
+    appended.AppendNull();
+    EXPECT_FALSE(appended.is_view());
+    ASSERT_EQ(appended.size(), kViewRows + 1);
+    EXPECT_TRUE(appended.IsNull(kViewRows));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameCells(appended.Slice(0, kViewRows), copy));
+    EXPECT_LT(appended.MemoryBytes(), col.MemoryBytes() / 2);
+
+    // A raw mutable pointer (EnsureUnique) on a view.
+    ColumnVector written = col.Slice(kViewBegin, kViewRows);
+    written.mutable_validity_data()[0] = 0;
+    EXPECT_FALSE(written.is_view());
+    EXPECT_EQ(written.MemoryBytes(), copy.MemoryBytes());
+    EXPECT_TRUE(written.IsNull(0));
+
+    // The buffer the views shared was never written.
+    ASSERT_NO_FATAL_FAILURE(ExpectSameCells(col, before));
+
+    // The last owner of the buffer still copies only its rows.
+    ColumnVector last = col.Slice(kViewBegin, kViewRows);
+    col = ColumnVector();
+    last.SetValue(1, Value::Null());
+    EXPECT_FALSE(last.is_view());
+    EXPECT_EQ(last.size(), kViewRows);
+    EXPECT_TRUE(last.IsNull(1));
+    EXPECT_EQ(last.MemoryBytes(), copy.MemoryBytes());
+  }
+}
+
+TEST(ColumnViewTest, HeldViewsKeepTheirBytesAcrossTableWrites) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k BIGINT, v DOUBLE, s VARCHAR)")
+                  .ok());
+  std::shared_ptr<Table> table = *db.catalog().GetTable("t");
+  for (int64_t k = 0; k < 5000; ++k) {
+    ASSERT_TRUE(table
+                    ->AppendRow({Value::Int64(k), Value::Double(k * 0.5),
+                                 Value::String("row " + std::to_string(k))})
+                    .ok());
+  }
+  Chunk held = table->GetChunk(kViewBegin, kViewRows);
+  ASSERT_TRUE(held.column(0).is_view());
+  auto result = db.Execute("SELECT k, s FROM t WHERE k >= 2040 AND k < 2100");
+  ASSERT_TRUE(result.ok());
+  std::string held_before = held.ToString(kViewRows);
+  std::string result_before = result->ToString(100);
+
+  for (const char* sql :
+       {"INSERT INTO t VALUES (-1, -0.5, 'new')",
+        "UPDATE t SET v = v + 1, s = 'changed' WHERE k >= 2000 AND k < 3000",
+        "DELETE FROM t WHERE k < 2500"}) {
+    ASSERT_TRUE(db.Execute(sql).ok()) << sql;
+    EXPECT_EQ(held.ToString(kViewRows), held_before) << sql;
+    EXPECT_EQ(result->ToString(100), result_before) << sql;
+  }
+  auto after = db.Execute("SELECT COUNT(*) FROM t WHERE s = 'changed'");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->Get(0, 0).int64_value(), 500);
 }
 
 TEST(ChunkTest, AppendRowsAndGather) {
