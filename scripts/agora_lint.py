@@ -74,6 +74,13 @@ cannot express (docs/ANALYSIS.md has the full rationale):
                           annotations eliminate, and the thread-safety
                           analysis cannot see through an unannotated
                           manual call.
+  raw-string-payload      string_data() is banned in src/ outside
+                          src/storage/column_vector.{h,cc} and
+                          src/expr/expr_eval.cc: table string columns are
+                          dictionary-encoded, and a raw read of a
+                          dictionary column sees no strings. Read through
+                          GetString/GetValue, or add a dictionary-aware
+                          path next to the kernels that have one.
 
 A finding can be suppressed for one line with a justification comment,
 either trailing the offending line or on a comment-only line directly
@@ -110,6 +117,7 @@ RULES = (
     "compile-commands",
     "unannotated-mutex",
     "manual-lock-unlock",
+    "raw-string-payload",
 )
 
 # Files exempt from the Open/Next wrapper rule: the wrapper itself and the
@@ -119,6 +127,15 @@ OPEN_NEXT_EXEMPT = ("src/exec/physical_op.cc", "src/exec/physical_op.h")
 # The annotated wrapper layer is the one place allowed to touch the raw
 # primitives' lock()/unlock() members directly.
 MANUAL_LOCK_EXEMPT = ("src/common/mutex.h",)
+
+# The only files that may read a string column's raw payload: the vector
+# itself and the expression kernels, which dispatch on its dictionary
+# form first.
+RAW_STRING_PAYLOAD_EXEMPT = (
+    "src/storage/column_vector.h",
+    "src/storage/column_vector.cc",
+    "src/expr/expr_eval.cc",
+)
 
 # A mutex-typed data member: optionally `mutable`, a std mutex flavor or
 # one of the annotated agora wrappers, then the member name. `\s+` after
@@ -274,6 +291,8 @@ def line_findings(rel_path, raw_text):
     in_database_cc = rel_path == "src/engine/database.cc"
     in_src = rel_path.startswith("src/")
     manual_lock_applies = in_src and rel_path not in MANUAL_LOCK_EXEMPT
+    raw_payload_applies = (in_src
+                           and rel_path not in RAW_STRING_PAYLOAD_EXEMPT)
     # Names referenced by any thread-safety annotation anywhere in the
     # file; a mutex member must show up here (or carry an allow) so the
     # clang -Wthread-safety leg actually checks it.
@@ -299,6 +318,7 @@ def line_findings(rel_path, raw_text):
     delete_re = re.compile(r"\bdelete\s*(\[\s*\]\s*)?[A-Za-z_(*]")
     file_io_re = re.compile(
         r"\bfopen\s*\(|std\s*::\s*[oi]?fstream\b|::open\s*\(|\.\s*open\s*\(")
+    string_data_re = re.compile(r"\bstring_data\s*\(")
 
     for lineno, line in enumerate(stripped_lines, 1):
         if open_next_applies and call_re.search(line):
@@ -366,6 +386,12 @@ def line_findings(rel_path, raw_text):
                     "(MutexLock/ReaderMutexLock/WriterMutexLock or a "
                     "scoped capability) so acquire/release pairing is "
                     "machine-checked")
+        if raw_payload_applies and string_data_re.search(line):
+            add(lineno, "raw-string-payload",
+                "string_data() reads a flat string payload; a "
+                "dictionary-encoded column has none. Use GetString/"
+                "GetValue or a dictionary-aware path (DESIGN.md "
+                "\"Dictionary-encoded strings\")")
         if file_io_applies and file_io_re.search(line):
             add(lineno, "file-io-outside-storage",
                 "direct file IO outside src/storage//src/txn; go through "

@@ -165,6 +165,41 @@ class Reader {
   T const_val_{};  // NULL constants read 0 / "", like NULL flat rows
 };
 
+/// Reads a dictionary operand's rows as their strings, `values[code]`,
+/// in shape S (a dictionary vector is flat or selected, never constant).
+/// NULL rows hold a valid code (0 when appended as NULL), so Get is safe
+/// on them; an all-NULL vector's empty dictionary reads one "".
+template <Shape S>
+class DictReader {
+ public:
+  explicit DictReader(const Operand& op)
+      : validity_(op.vec->validity_data()),
+        codes_(op.vec->int64_data()),
+        values_(op.vec->dictionary()->size() != 0
+                    ? op.vec->dictionary()->values()
+                    : &kEmpty),
+        sel_(op.sel) {}
+
+  bool Null(size_t i) const { return validity_[Idx(i)] == 0; }
+  const std::string& Get(size_t i) const { return values_[codes_[Idx(i)]]; }
+
+ private:
+  static inline const std::string kEmpty;
+
+  size_t Idx(size_t i) const {
+    if constexpr (S == Shape::kSelected) {
+      return sel_[i];
+    } else {
+      return i;
+    }
+  }
+
+  const uint8_t* validity_;
+  const int64_t* codes_;
+  const std::string* values_;
+  const uint32_t* sel_;
+};
+
 /// Calls fn(reader) with `op` read as T from payload P, in op's shape.
 template <typename T, typename P, typename Fn>
 void VisitShape(const Operand& op, Fn&& fn) {
@@ -193,7 +228,13 @@ void Visit(const Operand& op, Fn&& fn) {
       VisitShape<double, int64_t>(op, fn);
     }
   } else if constexpr (std::is_same_v<T, std::string>) {
-    VisitShape<std::string, std::string>(op, fn);
+    if (!op.vec->is_dictionary()) {
+      VisitShape<std::string, std::string>(op, fn);
+    } else if (op.sel != nullptr) {
+      fn(DictReader<Shape::kSelected>(op));
+    } else {
+      fn(DictReader<Shape::kFlat>(op));
+    }
   } else {
     VisitShape<int64_t, int64_t>(op, fn);
   }
@@ -398,6 +439,47 @@ void DispatchArith(ArithOp op, const L& l, const R& r, size_t n, uint8_t* ov,
   }
 }
 
+/// A dictionary's values as a NULL-free operand: row c is code c.
+struct ValuesReader {
+  const std::string* values;
+  bool Null(size_t) const { return false; }
+  const std::string& Get(size_t c) const { return values[c]; }
+};
+
+/// Records a predicate's verdict per dictionary code: bit 0 valid, bit 1
+/// result.
+struct CodeSink {
+  uint8_t* verdict;
+  void operator()(size_t c, bool valid, bool res) {
+    verdict[c] = static_cast<uint8_t>((valid ? 1 : 0) | (res ? 2 : 0));
+  }
+};
+
+/// True when a predicate over operand `c` and constants should run once
+/// over `c`'s dictionary instead of once per row: `c` is a dictionary
+/// vector no larger than the k live rows.
+bool UseCodeTable(const Operand& c, size_t k) {
+  return c.vec->is_dictionary() && c.vec->dictionary()->size() <= k;
+}
+
+/// Runs a predicate's loop `loop(values, m, code_sink)` over the m values
+/// of `c`'s dictionary, giving a truth table per code, then feeds `sink`
+/// each of the k rows' verdict as `table[code]` (NULL rows stay NULL).
+template <typename Sink, typename Loop>
+void ThroughCodes(const Operand& c, size_t k, Sink& sink, Loop&& loop) {
+  const StringDict& dict = *c.vec->dictionary();
+  // At least one entry: an all-NULL vector's rows hold code 0.
+  std::vector<uint8_t> table(std::max<size_t>(dict.size(), 1), 0);
+  CodeSink code_sink{table.data()};
+  loop(ValuesReader{dict.values()}, dict.size(), code_sink);
+  VisitShape<int64_t, int64_t>(c, [&](const auto& cr) {
+    for (size_t i = 0; i < k; ++i) {
+      uint8_t v = table[cr.Get(i)];
+      sink(i, !cr.Null(i) & ((v & 1) != 0), (v & 2) != 0);
+    }
+  });
+}
+
 /// The IN list split once per batch by payload class. Membership keeps
 /// Value::Compare's semantics: strings equal by bytes, numbers by the
 /// `<`-only three-way test after int->double promotion (so NaN matches
@@ -538,7 +620,19 @@ Status CompareKernel(const ComparisonExpr& e, const EvalContext& ctx,
     auto loop = [&](const auto& lr, const auto& rr) {
       DispatchCompare(e.op(), lr, rr, k, sink);
     };
-    if (l_str) {
+    if (l_str && r.constant && UseCodeTable(l, k)) {
+      ThroughCodes(l, k, sink, [&](const auto& vr, size_t m, auto& cs) {
+        Visit<std::string>(r, [&](const auto& rr) {
+          DispatchCompare(e.op(), vr, rr, m, cs);
+        });
+      });
+    } else if (l_str && l.constant && UseCodeTable(r, k)) {
+      ThroughCodes(r, k, sink, [&](const auto& vr, size_t m, auto& cs) {
+        Visit<std::string>(l, [&](const auto& lr) {
+          DispatchCompare(e.op(), lr, vr, m, cs);
+        });
+      });
+    } else if (l_str) {
       VisitPair<std::string>(l, r, loop);
     } else if (any_double) {
       VisitPair<double>(l, r, loop);
@@ -574,13 +668,18 @@ Status LikeKernel(const LikeExpr& e, const EvalContext& ctx,
   }
   CountBatch(ctx, ctx.NumRows());
   bool negated = e.negated();
+  auto loop = [&](const auto& cr, size_t k, auto& sink) {
+    for (size_t i = 0; i < k; ++i) {
+      bool valid = !cr.Null(i);
+      sink(i, valid, valid && LikeMatch(cr.Get(i), e.pattern()) != negated);
+    }
+  };
   emit(c.constant, [&](size_t k, auto& sink) {
-    Visit<std::string>(c, [&](const auto& cr) {
-      for (size_t i = 0; i < k; ++i) {
-        bool valid = !cr.Null(i);
-        sink(i, valid, valid && LikeMatch(cr.Get(i), e.pattern()) != negated);
-      }
-    });
+    if (UseCodeTable(c, k)) {
+      ThroughCodes(c, k, sink, loop);
+      return;
+    }
+    Visit<std::string>(c, [&](const auto& cr) { loop(cr, k, sink); });
   });
   return Status::OK();
 }
@@ -593,6 +692,12 @@ Status InKernel(const InListExpr& e, const EvalContext& ctx,
   CountBatch(ctx, ctx.NumRows());
   InCandidates cands(e.values(), c.vec->type() == TypeId::kDouble);
   emit(c.constant, [&](size_t k, auto& sink) {
+    if (UseCodeTable(c, k)) {
+      ThroughCodes(c, k, sink, [&](const auto& vr, size_t m, auto& cs) {
+        InLoop(vr, cands, e.negated(), m, cs);
+      });
+      return;
+    }
     VisitNative(c, [&](const auto& cr) {
       InLoop(cr, cands, e.negated(), k, sink);
     });

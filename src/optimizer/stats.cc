@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 namespace agora {
 
@@ -12,6 +13,28 @@ TableStats ComputeTableStats(const Table& table) {
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const ColumnVector& col = table.column(c);
     ColumnStats& cs = stats.columns[c];
+    if (col.is_dictionary()) {
+      // NDV from a bitmap over the codes in use (a DELETE can leave
+      // dictionary values no row holds), then their distinct hashes, as
+      // the row-at-a-time path below counts.
+      const StringDict& dict = *col.dictionary();
+      std::vector<uint8_t> used(dict.size(), 0);
+      const int64_t* codes = col.int64_data();
+      const uint8_t* valid = col.validity_data();
+      for (size_t r = 0; r < col.size(); ++r) {
+        if (valid[r] == 0) {
+          cs.null_count++;
+        } else {
+          used[codes[r]] = 1;
+        }
+      }
+      std::unordered_set<uint64_t> hashes;
+      for (size_t code = 0; code < used.size(); ++code) {
+        if (used[code] != 0) hashes.insert(dict.hashes()[code]);
+      }
+      cs.ndv = static_cast<int64_t>(hashes.size());
+      continue;
+    }
     std::unordered_set<uint64_t> distinct;
     distinct.reserve(std::min<size_t>(table.num_rows(), 1 << 20));
     bool numeric = IsNumeric(col.type()) || col.type() == TypeId::kBool;

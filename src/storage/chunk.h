@@ -11,6 +11,8 @@ namespace agora {
 
 /// Number of rows processed per batch by the vectorized engine.
 inline constexpr size_t kChunkSize = 2048;
+static_assert(kDictCap == kChunkSize,
+              "a string dictionary is never larger than one batch");
 
 /// A batch of rows in columnar form — the unit of data flow between
 /// execution operators.

@@ -25,6 +25,47 @@ constexpr size_t kChargeGranularity = 16 * 1024;
 
 }  // namespace
 
+int64_t StringDict::Find(const std::string& s, uint64_t h) const {
+  if (slots_.empty()) return -1;
+  size_t mask = slots_.size() - 1;
+  for (size_t pos = h & mask;; pos = (pos + 1) & mask) {
+    uint16_t c1 = slots_[pos];
+    if (c1 == 0) return -1;
+    if (hashes_[c1 - 1] == h && values_[c1 - 1] == s) return c1 - 1;
+  }
+}
+
+uint32_t StringDict::Add(const std::string& s, uint64_t h) {
+  AGORA_DCHECK(values_.size() < kDictCap);
+  // Load factor <= 1/2; at the cap the table has 2 * kDictCap slots.
+  if ((values_.size() + 1) * 2 > slots_.size()) {
+    Rehash(std::max<size_t>(16, slots_.size() * 2));
+  }
+  auto code = static_cast<uint32_t>(values_.size());
+  values_.push_back(s);
+  hashes_.push_back(h);
+  size_t mask = slots_.size() - 1;
+  size_t pos = h & mask;
+  while (slots_[pos] != 0) pos = (pos + 1) & mask;
+  slots_[pos] = static_cast<uint16_t>(code + 1);
+  return code;
+}
+
+void StringDict::Rehash(size_t slots) {
+  slots_.assign(slots, 0);
+  size_t mask = slots - 1;
+  for (size_t c = 0; c < values_.size(); ++c) {
+    size_t pos = hashes_[c] & mask;
+    while (slots_[pos] != 0) pos = (pos + 1) & mask;
+    slots_[pos] = static_cast<uint16_t>(c + 1);
+  }
+}
+
+const std::string& ColumnVector::EmptyString() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 ColumnVector::Rep::Rep(const Rep& other)
     : validity(other.validity),
       ints(other.ints),
@@ -82,6 +123,10 @@ std::shared_ptr<ColumnVector::Rep> ColumnVector::CopyRows() const {
                           src.doubles.begin() + end);
       break;
     case TypeId::kString:
+      if (dict_ != nullptr) {
+        dst->ints.assign(src.ints.begin() + first, src.ints.begin() + end);
+        break;
+      }
       dst->strings.assign(src.strings.begin() + first,
                           src.strings.begin() + end);
       for (const auto& s : dst->strings) dst->string_bytes += StrCost(s);
@@ -104,6 +149,7 @@ ColumnVector ColumnVector::MakeConstant(TypeId type, const Value& v,
 
 void ColumnVector::Flatten() {
   if (!constant_) return;
+  AGORA_DCHECK(dict_ == nullptr);  // constants are built flat
   size_t n = logical_size_;
   auto flat = std::make_shared<Rep>();
   const Rep& one = *rep_;
@@ -143,7 +189,11 @@ void ColumnVector::Reserve(size_t n) {
       rep->doubles.reserve(n);
       break;
     case TypeId::kString:
-      rep->strings.reserve(n);
+      if (dict_ != nullptr) {
+        rep->ints.reserve(n);
+      } else {
+        rep->strings.reserve(n);
+      }
       break;
     case TypeId::kInvalid:
       break;
@@ -153,6 +203,8 @@ void ColumnVector::Reserve(size_t n) {
 
 void ColumnVector::Clear() {
   rep_.reset();
+  dict_.reset();
+  encodes_ = false;
   constant_ = false;
   view_ = false;
   offset_ = 0;
@@ -165,6 +217,8 @@ void ColumnVector::ResizeForOverwrite(size_t n) {
   if (!rep_ || rep_.use_count() > 1 || view_) {
     rep_ = std::make_shared<Rep>();
   }
+  dict_.reset();
+  encodes_ = false;
   constant_ = false;
   view_ = false;
   offset_ = 0;
@@ -207,6 +261,10 @@ void ColumnVector::AppendNull() {
       rep->doubles.push_back(0.0);
       break;
     case TypeId::kString:
+      if (dict_ != nullptr) {
+        rep->ints.push_back(0);
+        break;
+      }
       rep->strings.emplace_back();
       rep->string_bytes += StrCost(rep->strings.back());
       break;
@@ -235,6 +293,7 @@ void ColumnVector::AppendDouble(double v) {
 
 void ColumnVector::AppendString(std::string v) {
   AGORA_DCHECK(type_ == TypeId::kString);
+  if (dict_ != nullptr && AppendEncoded(v, HashString(v))) return;
   Rep* rep = EnsureUnique();
   rep->validity.push_back(1);
   rep->strings.push_back(std::move(v));
@@ -259,9 +318,12 @@ void ColumnVector::AppendValue(const Value& v) {
       AppendDouble(v.type() == TypeId::kDouble ? v.double_value()
                                                : v.AsDouble());
       break;
-    case TypeId::kString:
-      AppendString(v.string_value());
+    case TypeId::kString: {
+      const std::string& s = v.string_value();
+      if (dict_ != nullptr && AppendEncoded(s, HashString(s))) break;
+      AppendString(s);
       break;
+    }
     case TypeId::kInvalid:
       AGORA_CHECK(false) << "append to invalid-typed column";
   }
@@ -283,12 +345,104 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t row) {
     case TypeId::kDouble:
       AppendDouble(other.rep_->doubles[p]);
       break;
-    case TypeId::kString:
-      AppendString(other.rep_->strings[p]);
+    case TypeId::kString: {
+      if (TakesCodesOf(other)) {
+        Rep* rep = EnsureUnique();
+        rep->validity.push_back(1);
+        rep->ints.push_back(other.rep_->ints[p]);
+        rep->Recharge();
+        break;
+      }
+      const std::string& s = other.StringAt(p);
+      if (dict_ != nullptr) {
+        uint64_t h = other.dict_ != nullptr
+                         ? other.dict_->hashes()[other.rep_->ints[p]]
+                         : HashString(s);
+        if (AppendEncoded(s, h)) break;
+      }
+      AppendString(s);
       break;
+    }
     case TypeId::kInvalid:
       break;
   }
+}
+
+void ColumnVector::EncodeAppends() {
+  AGORA_DCHECK(type_ == TypeId::kString);
+  if (dict_ == nullptr) {
+    if (size() != 0) return;
+    dict_ = std::make_shared<StringDict>();
+  }
+  encodes_ = true;
+}
+
+int64_t ColumnVector::CodeFor(const std::string& s, uint64_t h) {
+  if (encodes_) {
+    int64_t code = dict_->Find(s, h);
+    if (code >= 0) return code;
+    if (dict_->size() < kDictCap) {
+      // Copy-on-write: holders of the dictionary keep its values. The
+      // probe copy's increment is an acquire on the count, so the reads
+      // of a holder on another thread (a result rendered after the
+      // engine lock) happen before an in-place append once it let go.
+      std::shared_ptr<StringDict> probe = dict_;
+      if (probe.use_count() > 2) {
+        dict_ = std::make_shared<StringDict>(*dict_);
+      }
+      return dict_->Add(s, h);
+    }
+  }
+  Decode();
+  return -1;
+}
+
+bool ColumnVector::AppendEncoded(const std::string& s, uint64_t h) {
+  int64_t code = CodeFor(s, h);
+  if (code < 0) return false;
+  Rep* rep = EnsureUnique();
+  rep->validity.push_back(1);
+  rep->ints.push_back(code);
+  rep->Recharge();
+  return true;
+}
+
+bool ColumnVector::TakesCodesOf(const ColumnVector& src) {
+  if (dict_ != nullptr && dict_ == src.dict_) return true;
+  if (src.dict_ != nullptr && size() == 0 &&
+      (dict_ == nullptr || dict_->size() == 0)) {
+    dict_ = src.dict_;  // an empty vector adopts the source's dictionary
+    return true;
+  }
+  if (!encodes_) Decode();
+  return false;
+}
+
+void ColumnVector::Decode() {
+  if (dict_ == nullptr) return;
+  AGORA_DCHECK(!constant_);
+  auto flat = std::make_shared<Rep>();
+  size_t n = size();
+  if (n != 0) {
+    const Rep& src = *rep_;
+    const std::string* values = dict_->values();
+    flat->validity.assign(src.validity.begin() + offset_,
+                          src.validity.begin() + offset_ + n);
+    flat->strings.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (flat->validity[i] != 0) {
+        flat->strings[i] = values[src.ints[offset_ + i]];
+      }
+      flat->string_bytes += StrCost(flat->strings[i]);
+    }
+  }
+  flat->Recharge();
+  rep_ = std::move(flat);
+  dict_.reset();
+  encodes_ = false;
+  view_ = false;
+  offset_ = 0;
+  logical_size_ = 0;
 }
 
 Value ColumnVector::GetValue(size_t i) const {
@@ -304,7 +458,7 @@ Value ColumnVector::GetValue(size_t i) const {
     case TypeId::kDouble:
       return Value::Double(rep_->doubles[p]);
     case TypeId::kString:
-      return Value::String(rep_->strings[p]);
+      return Value::String(StringAt(p));
     case TypeId::kInvalid:
       return Value::Null();
   }
@@ -313,6 +467,10 @@ Value ColumnVector::GetValue(size_t i) const {
 
 void ColumnVector::SetValue(size_t i, const Value& v) {
   AGORA_DCHECK(i < size());
+  if (!v.is_null() && type_ == TypeId::kString) {
+    SetString(i, v.string_value());
+    return;
+  }
   Rep* rep = EnsureUnique();
   if (v.is_null()) {
     rep->validity[i] = 0;
@@ -329,11 +487,7 @@ void ColumnVector::SetValue(size_t i, const Value& v) {
       rep->doubles[i] = v.type() == TypeId::kDouble ? v.double_value()
                                                     : v.AsDouble();
       break;
-    case TypeId::kString:
-      rep->string_bytes -= StrCost(rep->strings[i]);
-      rep->strings[i] = v.string_value();
-      rep->string_bytes += StrCost(rep->strings[i]);
-      break;
+    case TypeId::kString:  // handled by SetString above
     case TypeId::kInvalid:
       break;
   }
@@ -342,6 +496,15 @@ void ColumnVector::SetValue(size_t i, const Value& v) {
 
 void ColumnVector::SetString(size_t i, std::string v) {
   AGORA_DCHECK(type_ == TypeId::kString && i < size());
+  if (dict_ != nullptr) {
+    int64_t code = CodeFor(v, HashString(v));
+    if (code >= 0) {
+      Rep* rep = EnsureUnique();
+      rep->validity[i] = 1;
+      rep->ints[i] = code;
+      return;
+    }
+  }
   Rep* rep = EnsureUnique();
   rep->validity[i] = 1;
   rep->string_bytes -= StrCost(rep->strings[i]);
@@ -364,6 +527,7 @@ uint64_t ColumnVector::HashRow(size_t i) const {
   size_t p = PhysRow(i);
   switch (type_) {
     case TypeId::kString:
+      if (dict_ != nullptr) return dict_->hashes()[rep_->ints[p]];
       return HashString(rep_->strings[p]);
     case TypeId::kDouble: {
       uint64_t bits;
@@ -387,6 +551,13 @@ void ColumnVector::HashBatch(uint64_t* hashes, size_t n, bool combine,
   };
   switch (type_) {
     case TypeId::kString:
+      if (dict_ != nullptr) {
+        const uint64_t* dh = dict_->hashes();
+        for (size_t i = 0; i < n; ++i) {
+          emit(i, rep.validity[o + i] != 0 ? dh[rep.ints[o + i]] : kNullHash);
+        }
+        break;
+      }
       for (size_t i = 0; i < n; ++i) {
         emit(i, rep.validity[o + i] != 0 ? HashString(rep.strings[o + i])
                                          : kNullHash);
@@ -427,12 +598,22 @@ void ColumnVector::BatchEqualRows(const uint32_t* rows,
   const Rep& rhs = *other.rep_;
   switch (type_) {
     case TypeId::kString:
+      if (dict_ != nullptr && dict_ == other.dict_) {
+        // One dictionary: equal strings have equal codes.
+        for (size_t i = 0; i < n; ++i) {
+          if (equal[i] == 0) continue;
+          size_t a = offset_ + rows[i], b = other.offset_ + other_rows[i];
+          bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
+          equal[i] = (an || bn) ? (an && bn) : (lhs.ints[a] == rhs.ints[b]);
+        }
+        break;
+      }
       for (size_t i = 0; i < n; ++i) {
         if (equal[i] == 0) continue;
         size_t a = offset_ + rows[i], b = other.offset_ + other_rows[i];
         bool an = lhs.validity[a] == 0, bn = rhs.validity[b] == 0;
         equal[i] = (an || bn) ? (an && bn)
-                              : (lhs.strings[a] == rhs.strings[b]);
+                              : (StringAt(a) == other.StringAt(b));
       }
       break;
     case TypeId::kDouble:
@@ -474,6 +655,7 @@ void ColumnVector::AppendGatherPadded(const ColumnVector& src,
   AGORA_DCHECK(!src.constant_);
   if (n == 0) return;
   constexpr uint32_t kPad = UINT32_MAX;
+  const bool codes = type_ == TypeId::kString && TakesCodesOf(src);
   Rep* out = EnsureUnique();
   // An empty src is legal when every sel entry is kPad (NULL padding from
   // an empty build side); fall back to an empty Rep so no entry can index it.
@@ -481,10 +663,11 @@ void ColumnVector::AppendGatherPadded(const ColumnVector& src,
   const Rep& in = src.rep_ ? *src.rep_ : kEmptyRep;
   const size_t o = src.offset_;
   out->validity.reserve(out->validity.size() + n);
-  switch (type_) {
+  switch (codes ? TypeId::kInt64 : type_) {
     case TypeId::kBool:
     case TypeId::kInt64:
     case TypeId::kDate:
+      // Codes gather like integers: a NULL or padded row holds code 0.
       out->ints.reserve(out->ints.size() + n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
@@ -503,13 +686,25 @@ void ColumnVector::AppendGatherPadded(const ColumnVector& src,
       }
       break;
     case TypeId::kString:
+      if (dict_ != nullptr) {
+        // An encoding vector takes foreign strings one by one.
+        for (size_t i = 0; i < n; ++i) {
+          uint32_t s = sel[i];
+          if (s == kPad || in.validity[o + s] == 0) {
+            AppendNull();
+          } else {
+            AppendFrom(src, s);
+          }
+        }
+        return;
+      }
       out->strings.reserve(out->strings.size() + n);
       for (size_t i = 0; i < n; ++i) {
         uint32_t s = sel[i];
         bool valid = s != kPad && in.validity[o + s] != 0;
         out->validity.push_back(valid ? 1 : 0);
         if (valid) {
-          out->strings.push_back(in.strings[o + s]);
+          out->strings.push_back(src.StringAt(o + s));
         } else {
           out->strings.emplace_back();
         }
@@ -533,7 +728,7 @@ int ColumnVector::CompareRows(size_t i, const ColumnVector& other,
   size_t p = PhysRow(i), q = other.PhysRow(j);
   switch (type_) {
     case TypeId::kString: {
-      int c = rep_->strings[p].compare(other.rep_->strings[q]);
+      int c = StringAt(p).compare(other.StringAt(q));
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case TypeId::kDouble: {
@@ -562,9 +757,10 @@ ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
 
 ColumnVector ColumnVector::Slice(size_t begin, size_t count) const {
   AGORA_DCHECK(begin + count <= size());
-  if (begin == 0 && count == size()) return *this;  // zero-copy share
   if (count == 0) return ColumnVector(type_);
   ColumnVector out = *this;
+  out.encodes_ = false;  // a reader's slice never adds dictionary values
+  if (begin == 0 && count == size()) return out;  // zero-copy share
   out.logical_size_ = count;
   if (!constant_) {
     out.view_ = true;
@@ -587,6 +783,7 @@ size_t ColumnVector::MemoryBytes() const {
       case TypeId::kDouble:
         return n * (1 + sizeof(double));
       case TypeId::kString: {
+        if (dict_ != nullptr) return n * (1 + sizeof(int64_t));
         size_t bytes = n;
         for (size_t i = 0; i < n; ++i) {
           bytes += CopiedStrCost(rep.strings[offset_ + i]);
@@ -628,6 +825,10 @@ Status ColumnVector::CheckConsistency() const {
       payload = rep_ ? rep_->doubles.size() : 0;
       break;
     case TypeId::kString:
+      if (dict_ != nullptr) {
+        payload = rep_ ? rep_->ints.size() : 0;
+        break;
+      }
       payload = rep_ ? rep_->strings.size() : 0;
       break;
     default:
@@ -644,6 +845,26 @@ Status ColumnVector::CheckConsistency() const {
         std::string(TypeIdToString(type_)) + " has " +
         std::to_string(payload) + " payload rows but validity declares " +
         std::to_string(rows));
+  }
+  if (dict_ != nullptr) {
+    size_t dict_size = dict_->size();
+    if (dict_size > kDictCap) {
+      return Status::Internal("string dictionary holds " +
+                              std::to_string(dict_size) +
+                              " values, over the cap of " +
+                              std::to_string(kDictCap));
+    }
+    // Just this vector's rows: a view need not scan its whole buffer.
+    for (size_t r = offset_; r < offset_ + size(); ++r) {
+      int64_t code = rep_->ints[r];
+      if (rep_->validity[r] != 0 &&
+          (code < 0 || static_cast<size_t>(code) >= dict_size)) {
+        return Status::Internal("dictionary code " + std::to_string(code) +
+                                " at row " + std::to_string(r) +
+                                " is outside a dictionary of " +
+                                std::to_string(dict_size) + " values");
+      }
+    }
   }
   return Status::OK();
 }

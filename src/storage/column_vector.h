@@ -14,12 +14,53 @@
 
 namespace agora {
 
+/// Most distinct values one dictionary holds: kChunkSize, so a dictionary
+/// is never larger than one batch. A column that would pass it decodes
+/// to the flat form once and stays flat.
+inline constexpr size_t kDictCap = 2048;
+
+/// The distinct values of a dictionary-encoded string column, in code
+/// order, each with its precomputed HashString, plus an open-addressing
+/// lookup table from value to code. Append-only: codes never change, so
+/// a vector holding an older, shorter dictionary stays valid. Shared
+/// between vectors immutably; only a table column that is its sole
+/// owner adds values, and it clones a shared dictionary first.
+class StringDict {
+ public:
+  size_t size() const { return values_.size(); }
+  const std::string* values() const { return values_.data(); }
+  const uint64_t* hashes() const { return hashes_.data(); }
+
+  /// Code of `s`, whose HashString is `h`, or -1 when absent.
+  int64_t Find(const std::string& s, uint64_t h) const;
+  /// Appends `s` (absent, hash `h`) and returns its code.
+  uint32_t Add(const std::string& s, uint64_t h);
+
+ private:
+  void Rehash(size_t slots);
+
+  std::vector<std::string> values_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint16_t> slots_;  // code + 1; 0 = empty; power-of-two size
+};
+
 /// A typed, nullable column of values in columnar layout.
 ///
 /// Physical storage: kBool/kInt64/kDate share an int64 array; kDouble uses
-/// a double array; kString uses a std::string array. A byte-per-row
+/// a double array; kString uses a std::string array, or in the
+/// dictionary form one code per row in the int64 array. A byte-per-row
 /// validity vector tracks NULLs (1 = valid). This trades some space for
 /// simple, branch-light kernels.
+///
+/// *Dictionary form.* A kString vector may hold codes into a shared
+/// StringDict instead of strings. Slice/Gather/CopyRows/
+/// AppendGatherPadded then move 8-byte codes, and a vector gathered from
+/// a dictionary vector keeps its codes and its dictionary. Table columns
+/// encode their appends (EncodeAppends) up to kDictCap distinct values;
+/// any other dictionary vector that receives a string from a flat vector
+/// or another dictionary decodes itself to the flat form first. The
+/// string accessors (GetString/GetValue) read through the dictionary;
+/// string_data() is only for flat vectors.
 ///
 /// Two representation axes keep the expression engine zero-copy:
 ///
@@ -91,7 +132,10 @@ class ColumnVector {
   int64_t GetInt64(size_t i) const { return rep_->ints[PhysRow(i)]; }
   double GetDouble(size_t i) const { return rep_->doubles[PhysRow(i)]; }
   const std::string& GetString(size_t i) const {
-    return rep_->strings[PhysRow(i)];
+    size_t p = PhysRow(i);
+    if (dict_ == nullptr) return rep_->strings[p];
+    return rep_->validity[p] != 0 ? dict_->values()[rep_->ints[p]]
+                                  : EmptyString();
   }
   bool GetBool(size_t i) const { return rep_->ints[PhysRow(i)] != 0; }
   /// Numeric view of row `i` regardless of int/double/date physical type.
@@ -118,8 +162,9 @@ class ColumnVector {
     AGORA_DCHECK(!constant_);
     return rep_ ? rep_->doubles.data() + offset_ : nullptr;
   }
+  /// Flat kString vectors only (a dictionary vector holds no strings).
   const std::string* string_data() const {
-    AGORA_DCHECK(!constant_);
+    AGORA_DCHECK(!constant_ && dict_ == nullptr);
     return rep_ ? rep_->strings.data() + offset_ : nullptr;
   }
   const uint8_t* validity_data() const {
@@ -131,6 +176,19 @@ class ColumnVector {
   uint8_t* mutable_validity_data() {
     return EnsureUnique()->validity.data();
   }
+
+  // -- Dictionary form (kString) -----------------------------------------
+
+  /// True when the rows are codes into dictionary(); int64_data() then
+  /// returns the codes (NULL rows hold code 0).
+  bool is_dictionary() const { return dict_ != nullptr; }
+  const StringDict* dictionary() const { return dict_.get(); }
+
+  /// Makes appends and SetValue encode their strings into this vector's
+  /// dictionary, adding new values (table columns). An empty vector
+  /// starts a dictionary; a flat non-empty vector stays flat.
+  void EncodeAppends();
+  bool encodes_appends() const { return encodes_; }
 
   /// True if no row is NULL (fast path for kernels).
   bool AllValid() const;
@@ -187,8 +245,10 @@ class ColumnVector {
 
   /// Debug verification (AGORA_VERIFY): checks that the payload array for
   /// the column's physical type covers every row the validity vector
-  /// declares, so element accessors can never read past the payload.
-  /// Returns an Internal status naming the mismatch.
+  /// declares, so element accessors can never read past the payload, and
+  /// in the dictionary form that every valid row's code is below the
+  /// dictionary size and the dictionary is within kDictCap. Returns an
+  /// Internal status naming the mismatch.
   Status CheckConsistency() const;
 
  private:
@@ -229,6 +289,32 @@ class ColumnVector {
 
   size_t PhysRow(size_t i) const { return constant_ ? 0 : offset_ + i; }
 
+  static const std::string& EmptyString();
+
+  /// The string at physical row `p` (valid rows only), either form.
+  const std::string& StringAt(size_t p) const {
+    return dict_ != nullptr ? dict_->values()[rep_->ints[p]]
+                            : rep_->strings[p];
+  }
+
+  /// Code for the valid string `s` (HashString `h`) in this dictionary
+  /// vector: found, or added when this vector encodes its appends
+  /// (cloning a shared dictionary first). Returns -1 after decoding this
+  /// vector to the flat form when neither applies.
+  int64_t CodeFor(const std::string& s, uint64_t h);
+
+  /// Appends `s` as a code; false (and flat) when CodeFor decoded.
+  bool AppendEncoded(const std::string& s, uint64_t h);
+
+  /// True when this vector can take `src`'s codes as they are: both
+  /// share one dictionary, or this vector is empty and not encoding its
+  /// own, so it adopts `src`'s. Otherwise a non-encoding dictionary
+  /// vector decodes itself when `src` is a string vector.
+  bool TakesCodesOf(const ColumnVector& src);
+
+  /// Replaces the dictionary form by the flat form (no-op when flat).
+  void Decode();
+
   /// Clones the rep when shared, copies a view's rows out, creates the
   /// rep when absent, and flattens the constant form — after this call
   /// mutation is safe and the vector is an owned, offset-free buffer.
@@ -239,6 +325,8 @@ class ColumnVector {
 
   TypeId type_;
   std::shared_ptr<Rep> rep_;
+  std::shared_ptr<StringDict> dict_;  // set in the dictionary form
+  bool encodes_ = false;              // appends add dictionary values
   bool constant_ = false;
   bool view_ = false;
   size_t offset_ = 0;        // first physical row; non-zero only in a view

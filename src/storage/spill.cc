@@ -81,16 +81,15 @@ Status SpillFile::WriteChunk(const Chunk& chunk) {
             WriteRaw(col.double_data(), nrows * sizeof(double)));
         break;
       case TypeId::kString: {
-        const std::string* strings = col.string_data();
+        // Through the accessor, so a dictionary column writes its strings
+        // (the record format has no codes).
         const uint8_t* validity = col.validity_data();
         for (uint32_t r = 0; r < nrows; ++r) {
+          const std::string& s = col.GetString(r);
           uint32_t len =
-              validity[r] != 0 ? static_cast<uint32_t>(strings[r].size())
-                               : 0;
+              validity[r] != 0 ? static_cast<uint32_t>(s.size()) : 0;
           AGORA_RETURN_IF_ERROR(WriteRaw(&len, sizeof(len)));
-          if (len != 0) {
-            AGORA_RETURN_IF_ERROR(WriteRaw(strings[r].data(), len));
-          }
+          if (len != 0) AGORA_RETURN_IF_ERROR(WriteRaw(s.data(), len));
         }
         break;
       }

@@ -8,6 +8,15 @@ namespace agora {
 
 namespace {
 std::atomic<uint64_t> next_table_id{1};
+
+/// Rows `rows` of the table column `col`, still encoding its appends
+/// when `col` does.
+ColumnVector GatherColumn(const ColumnVector& col,
+                          const std::vector<uint32_t>& rows) {
+  ColumnVector out = col.Gather(rows);
+  if (col.encodes_appends()) out.EncodeAppends();
+  return out;
+}
 }  // namespace
 
 Table::Table(std::string name, Schema schema)
@@ -17,6 +26,7 @@ Table::Table(std::string name, Schema schema)
   columns_.reserve(schema_.num_fields());
   for (const Field& f : schema_.fields()) {
     columns_.emplace_back(f.type);
+    if (f.type == TypeId::kString) columns_.back().EncodeAppends();
   }
 }
 
@@ -78,7 +88,7 @@ Status Table::RetainRows(const std::vector<uint32_t>& keep) {
     }
   }
   for (auto& col : columns_) {
-    col = col.Gather(keep);
+    col = GatherColumn(col, keep);
   }
   num_rows_ = keep.size();
   InvalidateDerived();
@@ -226,7 +236,7 @@ std::shared_ptr<Table> Table::SortedCopy(const std::string& new_name,
                    });
   auto out = std::make_shared<Table>(new_name, schema_);
   for (size_t c = 0; c < columns_.size(); ++c) {
-    out->columns_[c] = columns_[c].Gather(perm);
+    out->columns_[c] = GatherColumn(columns_[c], perm);
   }
   out->num_rows_ = num_rows_;
   return out;

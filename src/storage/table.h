@@ -74,6 +74,8 @@ class HashIndex {
 
 /// An in-memory columnar table: one ColumnVector per field plus optional
 /// zone maps and secondary indexes. Append-only; row ids are positions.
+/// String columns are dictionary-encoded (ColumnVector::EncodeAppends)
+/// until they pass kDictCap distinct values.
 ///
 /// Concurrency: concurrent readers (GetChunk/GetRow/GetHashIndex/
 /// zone_maps) are safe with each other and with

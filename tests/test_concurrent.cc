@@ -175,6 +175,93 @@ TEST_F(ConcurrentQueryTest, SelectRacesIndexRebuild) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// GROUP BY and `=` reads of a dictionary-encoded string column racing
+// INSERTs that add dictionary values and push the column past the
+// dictionary cap (decoding it to the flat form). DML needs writer
+// exclusion (the Database class comment), so statements run under the
+// server's writer-preferring engine lock, but each reader renders
+// its result after releasing the lock: results hold the dictionary the
+// table had when they ran, and the writer clones before appending, so
+// every read matches serial ground truth byte for byte.
+TEST_F(ConcurrentQueryTest, StringReadsRaceDictionaryGrowthPastTheCap) {
+  Run("CREATE TABLE modes (id BIGINT, mode VARCHAR)");
+  const char* kModes[] = {"MAIL", "SHIP", "AIR", "RAIL", "TRUCK", "FOB"};
+  for (int batch = 0; batch < 10; ++batch) {
+    std::string sql = "INSERT INTO modes VALUES ";
+    for (int i = 0; i < 100; ++i) {
+      int id = batch * 100 + i;
+      if (i > 0) sql += ", ";
+      sql += "(" + std::to_string(id) + ", '" + kModes[id % 6] + "')";
+    }
+    Run(sql);
+  }
+  // Reads see only the first 1000 rows, which the writer never changes.
+  const std::vector<std::string> queries = {
+      "SELECT mode, COUNT(*) FROM modes WHERE id < 1000 GROUP BY mode "
+      "ORDER BY mode",
+      "SELECT COUNT(*) FROM modes WHERE mode = 'MAIL' AND id < 1000",
+      "SELECT id, mode FROM modes WHERE mode = 'RAIL' AND id < 60 "
+      "ORDER BY id",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& q : queries) expected.push_back(Render(Run(q)));
+
+  DeadlineSharedLock engine_lock;
+  const auto no_deadline = std::chrono::steady_clock::time_point();
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> reads{0};
+  std::thread writer([&] {
+    // Start once the readers are reading, so the writes race them.
+    while (reads.load(std::memory_order_acquire) < 4) {
+      std::this_thread::yield();
+    }
+    // 2100 new distinct values: past the 2048-value dictionary cap.
+    for (int batch = 0; batch < 42; ++batch) {
+      std::string sql = "INSERT INTO modes VALUES ";
+      for (int i = 0; i < 50; ++i) {
+        int n = batch * 50 + i;
+        if (i > 0) sql += ", ";
+        sql += "(" + std::to_string(1000 + n) + ", 'new-" +
+               std::to_string(n) + "')";
+      }
+      {
+        DeadlineWriteGuard guard(engine_lock, false, no_deadline);
+        auto inserted = db_->Execute(sql);
+        EXPECT_TRUE(inserted.ok()) << inserted.status().ToString();
+      }
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      size_t pick = static_cast<size_t>(t);
+      while (!stop.load(std::memory_order_acquire)) {
+        pick = (pick + 1) % queries.size();
+        Result<QueryResult> result = Status::Internal("not run");
+        {
+          DeadlineReadGuard guard(engine_lock, false, no_deadline);
+          result = db_->Execute(queries[pick]);
+        }
+        if (!result.ok() || Render(*result) != expected[pick]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  writer.join();
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(Render(Run(queries[q])), expected[q]) << queries[q];
+  }
+  auto distinct = Run("SELECT COUNT(DISTINCT mode) FROM modes");
+  EXPECT_EQ(distinct.Get(0, 0).int64_value(), 6 + 2100);
+}
+
 // Engine-wide counters stay exact under concurrency: queries_total
 // advances by exactly one per query, statements_executed by one per
 // statement, and rows_scanned_total by exactly the sum of the per-query

@@ -22,6 +22,7 @@
 #include "common/string_util.h"
 #include "expr/expr.h"
 #include "expr/expr_rewrite.h"
+#include "storage/table.h"
 
 namespace agora {
 namespace {
@@ -734,6 +735,40 @@ Chunk MakeEdgeViewChunk(size_t rows = 630, size_t offset = 2048 + 5) {
   return view;
 }
 
+/// The edge chunk with `s` dictionary-encoded, as a table hands it out:
+/// rows [offset, offset + rows) of a table holding the edge rows, plus
+/// the constant-form columns. `extra` distinct values appended past the
+/// block grow the dictionary beyond the block's rows, so kernels read row
+/// by row through the dictionary instead of through a per-code table.
+Chunk MakeEdgeDictChunk(size_t rows = 630, size_t offset = 0,
+                        size_t extra = 0) {
+  Chunk edge = MakeEdgeChunk(offset + rows);
+  Table table("edge", Schema({{"n", TypeId::kInt64, true},
+                              {"x", TypeId::kDouble, true},
+                              {"s", TypeId::kString, true}}));
+  Chunk first3;
+  for (size_t c = 0; c < 3; ++c) first3.AddColumn(edge.column(c));
+  EXPECT_TRUE(table.AppendChunk(first3).ok());
+  for (size_t i = 0; i < extra; ++i) {
+    EXPECT_TRUE(table
+                    .AppendRow({Value::Int64(0), Value::Double(0.0),
+                                Value::String("pad " + std::to_string(i))})
+                    .ok());
+  }
+  Chunk out = table.GetChunk(offset, rows);
+  EXPECT_TRUE(out.column(2).is_dictionary());
+  for (size_t c = 3; c < edge.num_columns(); ++c) {
+    out.AddColumn(edge.column(c).Slice(offset, rows));
+  }
+  return out;
+}
+
+/// Dictionary shapes: a whole block (per-code truth tables), and a view
+/// at offset 2053 whose dictionary outgrows its rows (row-by-row reads).
+std::vector<Chunk> EdgeDictChunks() {
+  return {MakeEdgeDictChunk(), MakeEdgeDictChunk(630, 2048 + 5, 700)};
+}
+
 /// One BIGINT, DOUBLE and VARCHAR operand of a given shape.
 struct Operands {
   ExprPtr n, x, s;
@@ -844,8 +879,10 @@ std::vector<uint32_t> EveryThirdRow(size_t rows) {
 }
 
 TEST(ExprOracleTest, InLikeIsNullCaseInEveryShape) {
-  for (const Chunk& chunk :
-       {MakeEdgeChunk(), MakeEdgeChunk(2048 + 37), MakeEdgeViewChunk()}) {
+  std::vector<Chunk> chunks = {MakeEdgeChunk(), MakeEdgeChunk(2048 + 37),
+                               MakeEdgeViewChunk()};
+  for (Chunk& c : EdgeDictChunks()) chunks.push_back(std::move(c));
+  for (const Chunk& chunk : chunks) {
     std::vector<uint32_t> narrowed = EveryThirdRow(chunk.num_rows());
     for (const Operands& o :
          {DenseOperands(), ConstColumnOperands(), LiteralOperands()}) {
@@ -860,7 +897,9 @@ TEST(ExprOracleTest, InLikeIsNullCaseInEveryShape) {
 }
 
 TEST(SelectionTest, RefineSelectionMatchesBruteForceForEveryKind) {
-  for (const Chunk& chunk : {MakeEdgeChunk(), MakeEdgeViewChunk()}) {
+  std::vector<Chunk> chunks = {MakeEdgeChunk(), MakeEdgeViewChunk()};
+  for (Chunk& c : EdgeDictChunks()) chunks.push_back(std::move(c));
+  for (const Chunk& chunk : chunks) {
     std::vector<uint32_t> all(chunk.num_rows());
     for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
     std::vector<uint32_t> narrowed = EveryThirdRow(chunk.num_rows());

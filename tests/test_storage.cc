@@ -6,9 +6,11 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <set>
 #include <sstream>
 
 #include "engine/database.h"
+#include "optimizer/stats.h"
 #include "storage/catalog.h"
 #include "storage/csv.h"
 #include "storage/table.h"
@@ -301,6 +303,280 @@ TEST(ColumnViewTest, HeldViewsKeepTheirBytesAcrossTableWrites) {
   auto after = db.Execute("SELECT COUNT(*) FROM t WHERE s = 'changed'");
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->Get(0, 0).int64_value(), 500);
+}
+
+// ---------------------------------------------------------------------
+// Dictionary-encoded strings: table string columns hold codes into a
+// shared dictionary; every kernel answers as the flat form does.
+
+/// MakeEdgeColumn(kString) in the dictionary form a table column uses.
+ColumnVector MakeDictEdgeColumn() {
+  ColumnVector flat = MakeEdgeColumn(TypeId::kString);
+  ColumnVector col(TypeId::kString);
+  col.EncodeAppends();
+  for (size_t r = 0; r < flat.size(); ++r) col.AppendFrom(flat, r);
+  return col;
+}
+
+/// The rows of `col` as a flat vector (what the string accessors read).
+ColumnVector FlatCopy(const ColumnVector& col) {
+  ColumnVector out(TypeId::kString);
+  for (size_t r = 0; r < col.size(); ++r) {
+    if (col.IsNull(r)) {
+      out.AppendNull();
+    } else {
+      out.AppendString(col.GetString(r));
+    }
+  }
+  return out;
+}
+
+TEST(DictionaryTest, HashesLikeTheFlatForm) {
+  ColumnVector dict = MakeDictEdgeColumn();
+  ColumnVector flat = MakeEdgeColumn(TypeId::kString);
+  ASSERT_TRUE(dict.is_dictionary());
+  ASSERT_FALSE(flat.is_dictionary());
+  EXPECT_EQ(dict.dictionary()->size(), 5u);  // five strings and NULL
+  ASSERT_NO_FATAL_FAILURE(ExpectSameCells(dict, flat));
+  for (const auto& [d, f] :
+       {std::pair{dict, flat},
+        std::pair{dict.Slice(kViewBegin, kViewRows),
+                  flat.Slice(kViewBegin, kViewRows)}}) {
+    size_t n = d.size();
+    for (bool combine : {false, true}) {
+      std::vector<uint64_t> hd(n, 3), hf(n, 3);
+      d.HashBatch(hd.data(), n, combine, /*normalize_zero=*/true);
+      f.HashBatch(hf.data(), n, combine, /*normalize_zero=*/true);
+      EXPECT_EQ(hd, hf);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(d.HashRow(i), f.HashRow(i)) << "row " << i;
+      ASSERT_EQ(d.CompareRows(i, f, (i * 7) % n), f.CompareRows(i, f, (i * 7) % n))
+          << "row " << i;
+    }
+  }
+}
+
+TEST(DictionaryTest, BatchEqualRowsAcrossDictionaries) {
+  ColumnVector dict = MakeDictEdgeColumn();
+  ColumnVector flat = MakeEdgeColumn(TypeId::kString);
+  // Another dictionary over the same strings, in another code order.
+  ColumnVector other(TypeId::kString);
+  other.EncodeAppends();
+  for (size_t r = flat.size(); r-- > 0;) other.AppendFrom(flat, r);
+  ASSERT_TRUE(other.is_dictionary());
+  ASSERT_NE(other.dictionary(), dict.dictionary());
+  ColumnVector same = dict.Gather({5, 4, 3, 2, 1, 0, 11, 2999});
+  ASSERT_EQ(same.dictionary(), dict.dictionary());
+
+  const size_t n = 600;
+  std::vector<uint32_t> rows(n), mirrored(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows[i] = static_cast<uint32_t>(i);
+    mirrored[i] = static_cast<uint32_t>((i * 7 + i / 6) % n);
+  }
+  std::vector<uint32_t> reversed(n);  // row r of `other` is flat row 2999 - r
+  for (size_t i = 0; i < n; ++i) reversed[i] = 2999 - mirrored[i];
+  std::vector<uint8_t> want(n, 1);
+  flat.BatchEqualRows(rows.data(), flat, mirrored.data(), n, true,
+                      want.data());
+  ASSERT_GT(std::count(want.begin(), want.end(), 1), 0);
+  ASSERT_LT(std::count(want.begin(), want.end(), 1), static_cast<long>(n));
+
+  std::vector<uint8_t> got(n, 1);
+  dict.BatchEqualRows(rows.data(), dict, mirrored.data(), n, true,
+                      got.data());
+  EXPECT_EQ(got, want) << "dict x same dict";
+  got.assign(n, 1);
+  dict.BatchEqualRows(rows.data(), other, reversed.data(), n, true,
+                      got.data());
+  EXPECT_EQ(got, want) << "dict x other dict";
+  got.assign(n, 1);
+  dict.BatchEqualRows(rows.data(), flat, mirrored.data(), n, true,
+                      got.data());
+  EXPECT_EQ(got, want) << "dict x flat";
+  got.assign(n, 1);
+  flat.BatchEqualRows(rows.data(), dict, mirrored.data(), n, true,
+                      got.data());
+  EXPECT_EQ(got, want) << "flat x dict";
+}
+
+TEST(DictionaryTest, OuterJoinPaddingGathersNullCodes) {
+  ColumnVector dict = MakeDictEdgeColumn();
+  ColumnVector view = dict.Slice(kViewBegin, kViewRows);
+  std::vector<uint32_t> pick = {0, UINT32_MAX, 699, 2, UINT32_MAX, 3};
+  ColumnVector got(TypeId::kString);
+  got.AppendGatherPadded(view, pick.data(), pick.size());
+  // The gather keeps the codes and the dictionary.
+  ASSERT_TRUE(got.is_dictionary());
+  EXPECT_EQ(got.dictionary(), dict.dictionary());
+  ASSERT_TRUE(got.CheckConsistency().ok());
+  ColumnVector want(TypeId::kString);
+  want.AppendGatherPadded(FlatCopy(view), pick.data(), pick.size());
+  ASSERT_NO_FATAL_FAILURE(ExpectSameCells(got, want));
+  EXPECT_TRUE(got.IsNull(1));
+  EXPECT_TRUE(got.IsNull(4));
+  EXPECT_EQ(got.HashRow(1), FlatCopy(got).HashRow(1));
+
+  // Padding from an empty build side.
+  ColumnVector empty(TypeId::kString);
+  empty.EncodeAppends();
+  std::vector<uint32_t> pads(3, UINT32_MAX);
+  ColumnVector padded(TypeId::kString);
+  padded.AppendGatherPadded(empty.Slice(0, 0), pads.data(), pads.size());
+  ASSERT_EQ(padded.size(), 3u);
+  EXPECT_TRUE(padded.IsNull(0) && padded.IsNull(2));
+
+  // A gather from a flat vector into a dictionary vector decodes it.
+  ColumnVector flat = MakeEdgeColumn(TypeId::kString);
+  got.AppendGatherPadded(flat, pick.data(), pick.size());
+  EXPECT_FALSE(got.is_dictionary());
+  want.AppendGatherPadded(flat, pick.data(), pick.size());
+  ASSERT_NO_FATAL_FAILURE(ExpectSameCells(got, want));
+}
+
+TEST(DictionaryTest, ViewAccountsTheBytesOfItsCopy) {
+  ColumnVector dict = MakeDictEdgeColumn();
+  ColumnVector view = dict.Slice(kViewBegin, kViewRows);
+  ColumnVector copy = CopyOfRows(dict, kViewBegin, kViewRows);
+  ASSERT_TRUE(view.is_view());
+  ASSERT_TRUE(copy.is_dictionary());
+  EXPECT_EQ(view.MemoryBytes(), copy.MemoryBytes());
+  // Validity plus an 8-byte code per row.
+  EXPECT_EQ(view.MemoryBytes(), kViewRows * (1 + sizeof(int64_t)));
+  EXPECT_LT(view.MemoryBytes(),
+            MakeEdgeColumn(TypeId::kString)
+                .Slice(kViewBegin, kViewRows)
+                .MemoryBytes());
+}
+
+std::string Answers(Database* db) {
+  std::string out;
+  for (const char* sql :
+       {"SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s",
+        "SELECT COUNT(*) FROM t WHERE s = 'v7'",
+        "SELECT COUNT(*) FROM t WHERE s IN ('v1', 'v2000', 'zz') OR s LIKE "
+        "'%99'",
+        "SELECT MIN(s), MAX(s), COUNT(DISTINCT s) FROM t",
+        "SELECT a.k, b.s FROM t a JOIN t b ON a.s = b.s WHERE a.k < 3 "
+        "ORDER BY a.k, b.k"}) {
+    auto result = db->Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    if (result.ok()) out += result->ToString(1 << 20);
+  }
+  return out;
+}
+
+TEST(DictionaryTest, PassingTheCapDecodesOnceWithUnchangedAnswers) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k BIGINT, s VARCHAR)").ok());
+  std::shared_ptr<Table> table = *db.catalog().GetTable("t");
+  // kDictCap distinct values with NULLs between them, then repeats.
+  size_t next = 0;
+  int64_t v7_rows = 0;
+  for (int64_t k = 0; k < static_cast<int64_t>(kDictCap) + 500; ++k) {
+    Value s = Value::Null();
+    if (k % 97 != 5) {
+      size_t v = next++ % kDictCap;
+      v7_rows += v == 7 ? 1 : 0;
+      s = Value::String("v" + std::to_string(v));
+    }
+    ASSERT_TRUE(table->AppendRow({Value::Int64(k), s}).ok());
+  }
+  ASSERT_TRUE(table->column(1).is_dictionary());
+  EXPECT_EQ(table->column(1).dictionary()->size(), kDictCap);
+  std::string at_cap = Answers(&db);
+
+  // The 2049th distinct value decodes the column once; it stays flat.
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (-1, 'one too many')").ok());
+  EXPECT_FALSE(table->column(1).is_dictionary());
+  EXPECT_FALSE(table->column(1).encodes_appends());
+  ASSERT_TRUE(table->column(1).CheckConsistency().ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM t WHERE k = -1").ok());
+  EXPECT_FALSE(table->column(1).is_dictionary());
+  EXPECT_EQ(Answers(&db), at_cap);
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (-2, 'v7')").ok());
+  EXPECT_FALSE(table->column(1).is_dictionary());
+  auto count = db.Execute("SELECT COUNT(*) FROM t WHERE s = 'v7'");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->Get(0, 0).int64_value(), v7_rows + 1);
+}
+
+TEST(DictionaryTest, HeldResultKeepsItsStringsAcrossTableWrites) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k BIGINT, s VARCHAR)").ok());
+  std::shared_ptr<Table> table = *db.catalog().GetTable("t");
+  const char* modes[] = {"MAIL", "SHIP", "", "A SHIP MODE PAST THE INLINE BUFFER"};
+  for (int64_t k = 0; k < 5000; ++k) {
+    Value s = k % 11 == 3 ? Value::Null() : Value::String(modes[k % 4]);
+    ASSERT_TRUE(table->AppendRow({Value::Int64(k), s}).ok());
+  }
+  ASSERT_TRUE(table->column(1).is_dictionary());
+  Chunk held = table->GetChunk(kViewBegin, kViewRows);
+  ASSERT_TRUE(held.column(1).is_dictionary());
+  auto result = db.Execute("SELECT k, s FROM t WHERE k >= 2040 AND k < 2100");
+  ASSERT_TRUE(result.ok());
+  auto grouped = db.Execute("SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s");
+  ASSERT_TRUE(grouped.ok());
+  std::string held_before = held.ToString(kViewRows);
+  std::string result_before = result->ToString(100);
+  std::string grouped_before = grouped->ToString(100);
+  const StringDict* dict_before = held.column(1).dictionary();
+  size_t dict_size_before = dict_before->size();
+
+  for (const char* sql :
+       {"INSERT INTO t VALUES (-1, 'a new mode')",
+        "UPDATE t SET s = 'changed' WHERE k >= 2000 AND k < 3000",
+        "DELETE FROM t WHERE k < 2500"}) {
+    ASSERT_TRUE(db.Execute(sql).ok()) << sql;
+    EXPECT_EQ(held.ToString(kViewRows), held_before) << sql;
+    EXPECT_EQ(result->ToString(100), result_before) << sql;
+    EXPECT_EQ(grouped->ToString(100), grouped_before) << sql;
+    // The held dictionary was cloned, never appended to.
+    EXPECT_EQ(dict_before->size(), dict_size_before) << sql;
+  }
+  ASSERT_TRUE(table->column(1).is_dictionary());
+  EXPECT_NE(table->column(1).dictionary(), dict_before);
+  auto after = db.Execute("SELECT COUNT(*) FROM t WHERE s = 'changed'");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->Get(0, 0).int64_value(), 500);
+}
+
+TEST(DictionaryTest, StatsNdvMatchesBruteForceAfterDelete) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (k BIGINT, s VARCHAR)").ok());
+  std::shared_ptr<Table> table = *db.catalog().GetTable("t");
+  for (int64_t k = 0; k < 3000; ++k) {
+    Value s = k % 13 == 0 ? Value::Null()
+                          : Value::String("s" + std::to_string(k % 40));
+    ASSERT_TRUE(table->AppendRow({Value::Int64(k), s}).ok());
+  }
+  // Leaves values s0..s9 in the dictionary with no row holding them.
+  ASSERT_TRUE(db.Execute("DELETE FROM t WHERE k % 40 < 10").ok());
+  const ColumnVector& col = table->column(1);
+  ASSERT_TRUE(col.is_dictionary());
+  EXPECT_EQ(col.dictionary()->size(), 40u);
+
+  std::set<std::string> distinct;
+  int64_t nulls = 0;
+  for (size_t r = 0; r < col.size(); ++r) {
+    if (col.IsNull(r)) {
+      ++nulls;
+    } else {
+      distinct.insert(col.GetString(r));
+    }
+  }
+  TableStats stats = ComputeTableStats(*table);
+  EXPECT_EQ(stats.columns[1].ndv, static_cast<int64_t>(distinct.size()));
+  EXPECT_EQ(stats.columns[1].ndv, 30);
+  EXPECT_EQ(stats.columns[1].null_count, nulls);
+  EXPECT_FALSE(stats.columns[1].has_minmax);
+  // The row-at-a-time count over value hashes agrees.
+  std::set<uint64_t> hashes;
+  for (size_t r = 0; r < col.size(); ++r) {
+    if (!col.IsNull(r)) hashes.insert(col.HashRow(r));
+  }
+  EXPECT_EQ(stats.columns[1].ndv, static_cast<int64_t>(hashes.size()));
 }
 
 TEST(ChunkTest, AppendRowsAndGather) {

@@ -129,6 +129,35 @@ TEST(ColumnConsistencyTest, TypedColumnsPass) {
   EXPECT_TRUE(col.CheckConsistency().ok());
 }
 
+TEST(ColumnConsistencyTest, DictionaryCodeOutOfRangeIsInternal) {
+  ColumnVector col(TypeId::kString);
+  col.EncodeAppends();
+  col.AppendString("MAIL");
+  col.AppendNull();
+  col.AppendString("SHIP");
+  ASSERT_TRUE(col.is_dictionary());
+  ASSERT_TRUE(col.CheckConsistency().ok());
+  // A NULL row's code is never read, whatever it holds.
+  col.mutable_int64_data()[1] = 1 << 20;
+  ASSERT_TRUE(col.CheckConsistency().ok());
+  col.mutable_int64_data()[2] = 2;  // the dictionary holds codes 0 and 1
+  Status s = col.CheckConsistency();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_NE(s.message().find("dictionary code 2 at row 2"), std::string::npos)
+      << s.message();
+
+  // The chunk verifier reports it as the operator's Internal error.
+  Chunk chunk;
+  chunk.AddColumn(col.Slice(1, 2));
+  Status v = VerifyChunk(chunk, Schema({{"s", TypeId::kString, true}}),
+                         "Scan", false);
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.code(), StatusCode::kInternal);
+  EXPECT_NE(v.message().find("dictionary code"), std::string::npos)
+      << v.message();
+}
+
 // -- Selection verification ---------------------------------------------
 
 TEST(SelectionVerifyTest, InRangeSelectionPasses) {
