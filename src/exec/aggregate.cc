@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include "common/hash.h"
@@ -11,6 +10,16 @@
 #include "exec/spill_util.h"
 
 namespace agora {
+
+namespace {
+
+/// String MIN/MAX keeps its running value beside the fixed-width state.
+bool StringMinMax(const AggregateSpec& spec) {
+  return spec.result_type == TypeId::kString &&
+         (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax);
+}
+
+}  // namespace
 
 PhysicalHashAggregate::PhysicalHashAggregate(
     PhysicalOpPtr child, std::vector<ExprPtr> group_by,
@@ -20,9 +29,8 @@ PhysicalHashAggregate::PhysicalHashAggregate(
       child_(std::move(child)),
       group_by_(std::move(group_by)),
       aggregates_(std::move(aggregates)) {
-  bool has_distinct = false;
   for (const AggregateSpec& spec : aggregates_) {
-    has_distinct = has_distinct || spec.distinct;
+    has_distinct_ = has_distinct_ || spec.distinct;
   }
   // Budgeted grouped aggregation takes the spill-capable path. Scalar
   // aggregation holds O(1) state (nothing to spill) and DISTINCT dedup
@@ -32,27 +40,27 @@ PhysicalHashAggregate::PhysicalHashAggregate(
   // never on worker count or data.
   spill_mode_ = context != nullptr && context->spill != nullptr &&
                 context->memory_limited() && !group_by_.empty() &&
-                !has_distinct;
+                !has_distinct_;
 }
 
 Status PhysicalHashAggregate::OpenImpl() {
   groups_ = AggTable{};
   num_groups_ = 0;
   next_group_ = 0;
-  scalar_default_group_ = false;
-  if (spill_mode_) return OpenSpill();
-
-  bool has_distinct = false;
-  for (const AggregateSpec& spec : aggregates_) {
-    has_distinct = has_distinct || spec.distinct;
+  parts_.clear();
+  merge_.Clear();
+  rows_seen_ = 0;
+  run_ = 0;
+  if (spill_mode_) {
+    parts_.resize(std::max<size_t>(1, context_->spill_partitions));
   }
 
+  AGORA_RETURN_IF_ERROR(child_->Open());
   MorselPipeline pipeline;
-  if (!has_distinct &&
+  if (!has_distinct_ && !spill_mode_ &&
       ParallelEligible(child_.get(), *context_, &pipeline)) {
     // Parallel accumulate: one partial table per morsel (single-writer),
-    // merged below in morsel order — worker count never changes results.
-    AGORA_RETURN_IF_ERROR(child_->Open());
+    // folded below in morsel order — worker count never changes results.
     std::vector<AggTable> partials(pipeline.source()->MorselCount());
     AGORA_RETURN_IF_ERROR(DriveMorselPipeline(
         pipeline, context_,
@@ -65,67 +73,98 @@ Status PhysicalHashAggregate::OpenImpl() {
           MetricSpan span = StatsSpan(stats, op_id());
           return AccumulateInto(chunk, &partials[morsel.index], stats);
         }));
-    for (AggTable& partial : partials) {
-      MergePartial(std::move(partial));
-    }
+    for (AggTable& partial : partials) EndRun(&partial);
   } else {
-    AGORA_RETURN_IF_ERROR(child_->Open());
+    // Serial pull: a run ends where the input's morsel index changes, so
+    // the partials are exactly the morsel path's. The budgeted path keeps
+    // one run partial per partition instead of one `partial`.
+    AggTable partial;
+    size_t run = kNoMorsel;
     bool done = false;
     while (!done) {
       Chunk input;
       AGORA_RETURN_IF_ERROR(child_->Next(&input, &done));
       // The in-memory table can only grow; fail gracefully at chunk
-      // granularity when a budget is set (DISTINCT/scalar paths).
-      AGORA_RETURN_IF_ERROR(context_->CheckMemoryBudget("HashAggregate"));
-      if (input.num_rows() > 0) {
+      // granularity when a budget is set (the spill path sheds instead).
+      if (!spill_mode_) {
+        AGORA_RETURN_IF_ERROR(context_->CheckMemoryBudget("HashAggregate"));
+      }
+      if (input.num_rows() == 0) continue;
+      if (input.morsel() != run && !has_distinct_) EndRun(&partial);
+      run = input.morsel();
+      if (spill_mode_) {
+        AGORA_RETURN_IF_ERROR(AccumulateSpill(input));
+      } else {
         AGORA_RETURN_IF_ERROR(
-            AccumulateInto(input, &groups_, &context_->stats));
+            AccumulateInto(input, &partial, &context_->stats));
       }
     }
+    EndRun(&partial);
   }
+  if (spill_mode_) return FinishSpill();
 
   num_groups_ = groups_.keys.group_count();
-  // Scalar aggregation always yields one group.
-  if (group_by_.empty() && num_groups_ == 0) {
-    scalar_default_group_ = true;
-    num_groups_ = 1;
-    groups_.states.assign(aggregates_.size(), AggState{});
-    groups_.minmax_strings.assign(aggregates_.size(), {});
-    for (std::vector<std::string>& ms : groups_.minmax_strings) {
-      ms.assign(1, std::string());
-    }
-  }
-  context_->stats.hash_table_entries +=
-      static_cast<int64_t>(groups_.keys.group_count());
+  context_->stats.hash_table_entries += static_cast<int64_t>(num_groups_);
   context_->stats.hash_table_slots +=
       static_cast<int64_t>(groups_.keys.slot_count());
+  // Scalar aggregation always yields one group.
+  if (group_by_.empty() && num_groups_ == 0) {
+    num_groups_ = 1;
+    groups_.states.assign(aggregates_.size(), AggState{});
+  }
+  return Status::OK();
+}
+
+void PhysicalHashAggregate::EndRun(AggTable* partial) {
+  ++run_;
+  if (!spill_mode_) {
+    MergePartial(partial, nullptr, &groups_, nullptr, &context_->stats);
+    *partial = AggTable{};
+    return;
+  }
+  for (AggPartition& part : parts_) {
+    if (!part.spilled) FoldRun(&part);
+  }
+}
+
+Status PhysicalHashAggregate::EvaluateInput(const Chunk& input,
+                                            AggInput* in) const {
+  in->rows = input.num_rows();
+  in->keys.resize(group_by_.size());
+  for (size_t g = 0; g < group_by_.size(); ++g) {
+    AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &in->keys[g]));
+  }
+  in->args.resize(aggregates_.size());
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    if (aggregates_[a].arg != nullptr) {
+      AGORA_RETURN_IF_ERROR(aggregates_[a].arg->Evaluate(input, &in->args[a]));
+    }
+  }
+  if (!group_by_.empty()) {
+    in->hashes.assign(in->rows, kHashTableSalt);
+    for (const ColumnVector& col : in->keys) {
+      col.HashBatch(in->hashes.data(), in->rows, /*combine=*/true,
+                    /*normalize_zero=*/true);
+    }
+  }
   return Status::OK();
 }
 
 Status PhysicalHashAggregate::AccumulateInto(const Chunk& input,
                                              AggTable* table,
                                              ExecStats* stats) const {
-  size_t rows = input.num_rows();
-  size_t num_aggs = aggregates_.size();
-  stats->rows_aggregated += static_cast<int64_t>(rows);
-  if (table->minmax_strings.size() != num_aggs) {
-    table->minmax_strings.resize(num_aggs);
-    table->distinct.resize(num_aggs);
-  }
+  AggInput in;
+  AGORA_RETURN_IF_ERROR(EvaluateInput(input, &in));
+  stats->rows_aggregated += static_cast<int64_t>(in.rows);
+  AccumulateInput(in, table, stats);
+  return Status::OK();
+}
 
-  // Evaluate group keys and aggregate arguments once per chunk.
-  std::vector<ColumnVector> key_cols(group_by_.size());
-  for (size_t g = 0; g < group_by_.size(); ++g) {
-    AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &key_cols[g]));
-  }
-  std::vector<ColumnVector> arg_cols(num_aggs);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    if (aggregates_[a].arg != nullptr) {
-      AGORA_RETURN_IF_ERROR(
-          aggregates_[a].arg->Evaluate(input, &arg_cols[a]));
-    }
-  }
-
+void PhysicalHashAggregate::AccumulateInput(const AggInput& in,
+                                            AggTable* table,
+                                            ExecStats* stats) const {
+  const size_t rows = in.rows;
+  const size_t num_aggs = aggregates_.size();
   HashTableStats ht;
   if (group_by_.empty()) {
     // Scalar aggregation: one group, no per-row lookups. One
@@ -133,236 +172,167 @@ Status PhysicalHashAggregate::AccumulateInto(const Chunk& input,
     uint64_t h = kHashTableSalt;
     uint32_t gid;
     uint8_t created;
-    table->keys.FindOrCreate(key_cols, &h, 1, &gid, &created, &ht);
+    table->keys.FindOrCreate(in.keys, &h, 1, &gid, &created, &ht);
     table->gid_scratch.assign(rows, 0);
   } else {
     // Resolve every row to a dense group id in one vectorized pass.
-    table->hash_scratch.assign(rows, kHashTableSalt);
-    for (const ColumnVector& col : key_cols) {
-      col.HashBatch(table->hash_scratch.data(), rows, /*combine=*/true,
-                    /*normalize_zero=*/true);
-    }
     table->gid_scratch.resize(rows);
     table->created_scratch.resize(rows);
-    table->keys.FindOrCreate(key_cols, table->hash_scratch.data(), rows,
+    table->keys.FindOrCreate(in.keys, in.hashes.data(), rows,
                              table->gid_scratch.data(),
                              table->created_scratch.data(), &ht);
   }
   stats->hash_table_lookups += ht.lookups;
   stats->hash_table_probe_steps += ht.probe_steps;
-  table->states.resize(table->keys.group_count() * num_aggs);
-  return ApplyAccumulators(arg_cols, table->gid_scratch.data(), rows, table,
-                           stats);
-}
+  GrowStates(table);
 
-Status PhysicalHashAggregate::ApplyAccumulators(
-    const std::vector<ColumnVector>& arg_cols, const uint32_t* gids,
-    size_t rows, AggTable* table, ExecStats* stats) const {
-  size_t num_aggs = aggregates_.size();
-  size_t num_groups = table->keys.group_count();
-  AggState* states = table->states.data();
-
-  // Column-at-a-time accumulator updates: one type-dispatched loop per
-  // aggregate, never materializing Values. Row order within each loop
-  // matches the seed row-at-a-time path, so floating-point sums and
-  // MIN/MAX tie-breaks are bit-identical.
+  const uint32_t* gids = table->gid_scratch.data();
   for (size_t a = 0; a < num_aggs; ++a) {
-    const AggregateSpec& spec = aggregates_[a];
-    if (spec.func == AggFunc::kCountStar) {
-      for (size_t r = 0; r < rows; ++r) {
-        states[gids[r] * num_aggs + a].count++;
-      }
+    if (!aggregates_[a].distinct) {
+      ApplyAggregate(a, in.args[a], gids, rows, table);
       continue;
     }
-    const ColumnVector& arg = arg_cols[a];
+    // DISTINCT: dedup (group id, argument) pairs through a hashed key
+    // table — no per-row key strings — then feed the first occurrences,
+    // in row order, to the columnar kernel.
+    const ColumnVector& arg = in.args[a];
     const uint8_t* valid = arg.validity_data();
-    if (spec.distinct) {
-      // DISTINCT: dedup (group id, argument) pairs through a hashed key
-      // table — no per-row key strings — then apply first occurrences
-      // through the row-at-a-time mirror.
-      std::vector<uint32_t> sel;
-      for (size_t r = 0; r < rows; ++r) {
-        if (valid[r] != 0) sel.push_back(static_cast<uint32_t>(r));
-      }
-      if (sel.empty()) continue;
-      std::vector<ColumnVector> dkeys;
-      dkeys.emplace_back(TypeId::kInt64);
-      dkeys[0].Reserve(sel.size());
-      for (uint32_t r : sel) {
-        dkeys[0].AppendInt64(static_cast<int64_t>(gids[r]));
-      }
-      dkeys.push_back(arg.Gather(sel));
-      std::vector<uint64_t> dhashes(sel.size(), kHashTableSalt);
-      dkeys[0].HashBatch(dhashes.data(), sel.size(), true, true);
-      dkeys[1].HashBatch(dhashes.data(), sel.size(), true, true);
-      if (table->distinct[a] == nullptr) {
-        table->distinct[a] = std::make_unique<GroupKeyTable>();
-      }
-      std::vector<uint32_t> dgids(sel.size());
-      std::vector<uint8_t> dcreated(sel.size());
-      HashTableStats dht;
-      table->distinct[a]->FindOrCreate(dkeys, dhashes.data(), sel.size(),
-                                       dgids.data(), dcreated.data(), &dht);
-      stats->hash_table_lookups += dht.lookups;
-      stats->hash_table_probe_steps += dht.probe_steps;
-      bool is_string = spec.result_type == TypeId::kString &&
-                       (spec.func == AggFunc::kMin ||
-                        spec.func == AggFunc::kMax);
-      if (is_string) table->minmax_strings[a].resize(num_groups);
-      for (size_t j = 0; j < sel.size(); ++j) {
-        if (dcreated[j] == 0) continue;
-        size_t r = sel[j];
-        size_t g = gids[r];
-        ApplyRow(spec, arg, r, &states[g * num_aggs + a],
-                 is_string ? &table->minmax_strings[a][g] : nullptr);
-      }
-      continue;
+    std::vector<uint32_t> sel;
+    for (size_t r = 0; r < rows; ++r) {
+      if (valid[r] != 0) sel.push_back(static_cast<uint32_t>(r));
     }
-    switch (spec.func) {
-      case AggFunc::kCount:
-        for (size_t r = 0; r < rows; ++r) {
-          if (valid[r] == 0) continue;
-          AggState& st = states[gids[r] * num_aggs + a];
-          st.has_value = true;
-          st.count++;
-        }
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        if (arg.type() == TypeId::kDouble) {
-          const double* data = arg.double_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            st.count++;
-            st.sum_d += data[r];
-          }
-        } else {
-          const int64_t* data = arg.int64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            st.count++;
-            st.sum_i += data[r];
-            st.sum_d += static_cast<double>(data[r]);
-          }
-        }
-        break;
-      case AggFunc::kStddev:
-      case AggFunc::kVariance:
-        for (size_t r = 0; r < rows; ++r) {
-          if (valid[r] == 0) continue;
-          AggState& st = states[gids[r] * num_aggs + a];
-          double v = arg.GetNumeric(r);
-          st.has_value = true;
-          st.count++;
-          st.sum_d += v;
-          st.sum_sq += v * v;
-        }
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        const bool is_min = spec.func == AggFunc::kMin;
-        if (arg.type() == TypeId::kString) {
-          std::vector<std::string>& ms = table->minmax_strings[a];
-          ms.resize(num_groups);
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            const std::string& s = arg.GetString(r);
-            std::string& cur = ms[gids[r]];
-            if (st.count == 0 || (is_min ? s < cur : s > cur)) cur = s;
-            st.count++;
-          }
-        } else if (arg.type() == TypeId::kDouble) {
-          const double* data = arg.double_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            double v = data[r];
-            if (st.count == 0 ||
-                (is_min ? v < st.minmax_d : v > st.minmax_d)) {
-              st.minmax_d = v;
-            }
-            st.count++;
-          }
-        } else {
-          const int64_t* data = arg.int64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            if (valid[r] == 0) continue;
-            AggState& st = states[gids[r] * num_aggs + a];
-            st.has_value = true;
-            int64_t v = data[r];
-            if (st.count == 0 ||
-                (is_min ? v < st.minmax_i : v > st.minmax_i)) {
-              st.minmax_i = v;
-            }
-            st.count++;
-          }
-        }
-        break;
-      }
-      case AggFunc::kCountStar:
-        break;
+    if (sel.empty()) continue;
+    std::vector<ColumnVector> dkeys;
+    dkeys.emplace_back(TypeId::kInt64);
+    dkeys[0].Reserve(sel.size());
+    for (uint32_t r : sel) {
+      dkeys[0].AppendInt64(static_cast<int64_t>(gids[r]));
     }
+    dkeys.push_back(arg.Gather(sel));
+    std::vector<uint64_t> dhashes(sel.size(), kHashTableSalt);
+    dkeys[0].HashBatch(dhashes.data(), sel.size(), true, true);
+    dkeys[1].HashBatch(dhashes.data(), sel.size(), true, true);
+    if (table->distinct[a] == nullptr) {
+      table->distinct[a] = std::make_unique<GroupKeyTable>();
+    }
+    std::vector<uint32_t> dgids(sel.size());
+    std::vector<uint8_t> dcreated(sel.size());
+    HashTableStats dht;
+    table->distinct[a]->FindOrCreate(dkeys, dhashes.data(), sel.size(),
+                                     dgids.data(), dcreated.data(), &dht);
+    stats->hash_table_lookups += dht.lookups;
+    stats->hash_table_probe_steps += dht.probe_steps;
+    std::vector<uint32_t> first;
+    std::vector<uint32_t> first_gids;
+    for (size_t j = 0; j < sel.size(); ++j) {
+      if (dcreated[j] == 0) continue;
+      first.push_back(sel[j]);
+      first_gids.push_back(gids[sel[j]]);
+    }
+    ApplyAggregate(a, arg.Gather(first), first_gids.data(), first.size(),
+                   table);
   }
-  return Status::OK();
 }
 
-void PhysicalHashAggregate::ApplyRow(const AggregateSpec& spec,
-                                     const ColumnVector& arg, size_t row,
-                                     AggState* state,
-                                     std::string* minmax_str) const {
-  state->has_value = true;
+void PhysicalHashAggregate::ApplyAggregate(size_t a, const ColumnVector& arg,
+                                           const uint32_t* gids, size_t rows,
+                                           AggTable* table) const {
+  // One type-dispatched loop per aggregate, never materializing Values.
+  // Rows apply in order, so floating-point sums and MIN/MAX tie-breaks
+  // depend only on which rows a table sees, in which order.
+  const size_t num_aggs = aggregates_.size();
+  AggState* states = table->states.data();
+  const AggregateSpec& spec = aggregates_[a];
+  if (spec.func == AggFunc::kCountStar) {
+    for (size_t r = 0; r < rows; ++r) {
+      states[gids[r] * num_aggs + a].count++;
+    }
+    return;
+  }
+  const uint8_t* valid = arg.validity_data();
   switch (spec.func) {
     case AggFunc::kCount:
-      state->count++;
+      for (size_t r = 0; r < rows; ++r) {
+        if (valid[r] == 0) continue;
+        AggState& st = states[gids[r] * num_aggs + a];
+        st.has_value = true;
+        st.count++;
+      }
       break;
     case AggFunc::kSum:
     case AggFunc::kAvg:
-      state->count++;
       if (arg.type() == TypeId::kDouble) {
-        state->sum_d += arg.GetDouble(row);
+        const double* data = arg.double_data();
+        for (size_t r = 0; r < rows; ++r) {
+          if (valid[r] == 0) continue;
+          AggState& st = states[gids[r] * num_aggs + a];
+          st.has_value = true;
+          st.count++;
+          st.sum_d += data[r];
+        }
       } else {
-        state->sum_i += arg.GetInt64(row);
-        state->sum_d += static_cast<double>(arg.GetInt64(row));
+        const int64_t* data = arg.int64_data();
+        for (size_t r = 0; r < rows; ++r) {
+          if (valid[r] == 0) continue;
+          AggState& st = states[gids[r] * num_aggs + a];
+          st.has_value = true;
+          st.count++;
+          st.sum_i += data[r];
+          st.sum_d += static_cast<double>(data[r]);
+        }
       }
       break;
     case AggFunc::kStddev:
-    case AggFunc::kVariance: {
-      double v = arg.GetNumeric(row);
-      state->count++;
-      state->sum_d += v;
-      state->sum_sq += v * v;
+    case AggFunc::kVariance:
+      for (size_t r = 0; r < rows; ++r) {
+        if (valid[r] == 0) continue;
+        AggState& st = states[gids[r] * num_aggs + a];
+        double v = arg.GetNumeric(r);
+        st.has_value = true;
+        st.count++;
+        st.sum_d += v;
+        st.sum_sq += v * v;
+      }
       break;
-    }
     case AggFunc::kMin:
     case AggFunc::kMax: {
       const bool is_min = spec.func == AggFunc::kMin;
       if (arg.type() == TypeId::kString) {
-        const std::string& s = arg.GetString(row);
-        if (state->count == 0 ||
-            (is_min ? s < *minmax_str : s > *minmax_str)) {
-          *minmax_str = s;
+        std::vector<std::string>& ms = table->minmax_strings[a];
+        for (size_t r = 0; r < rows; ++r) {
+          if (valid[r] == 0) continue;
+          AggState& st = states[gids[r] * num_aggs + a];
+          st.has_value = true;
+          const std::string& s = arg.GetString(r);
+          std::string& cur = ms[gids[r]];
+          if (st.count == 0 || (is_min ? s < cur : s > cur)) cur = s;
+          st.count++;
         }
       } else if (arg.type() == TypeId::kDouble) {
-        double v = arg.GetDouble(row);
-        if (state->count == 0 ||
-            (is_min ? v < state->minmax_d : v > state->minmax_d)) {
-          state->minmax_d = v;
+        const double* data = arg.double_data();
+        for (size_t r = 0; r < rows; ++r) {
+          if (valid[r] == 0) continue;
+          AggState& st = states[gids[r] * num_aggs + a];
+          st.has_value = true;
+          double v = data[r];
+          if (st.count == 0 || (is_min ? v < st.minmax_d : v > st.minmax_d)) {
+            st.minmax_d = v;
+          }
+          st.count++;
         }
       } else {
-        int64_t v = arg.GetInt64(row);
-        if (state->count == 0 ||
-            (is_min ? v < state->minmax_i : v > state->minmax_i)) {
-          state->minmax_i = v;
+        const int64_t* data = arg.int64_data();
+        for (size_t r = 0; r < rows; ++r) {
+          if (valid[r] == 0) continue;
+          AggState& st = states[gids[r] * num_aggs + a];
+          st.has_value = true;
+          int64_t v = data[r];
+          if (st.count == 0 || (is_min ? v < st.minmax_i : v > st.minmax_i)) {
+            st.minmax_i = v;
+          }
+          st.count++;
         }
       }
-      state->count++;
       break;
     }
     case AggFunc::kCountStar:
@@ -370,93 +340,91 @@ void PhysicalHashAggregate::ApplyRow(const AggregateSpec& spec,
   }
 }
 
-void PhysicalHashAggregate::MergeAggStates(const AggTable& src,
-                                           size_t src_gid, size_t dst_gid) {
-  size_t num_aggs = aggregates_.size();
+void PhysicalHashAggregate::GrowStates(AggTable* table) const {
+  const size_t num_aggs = aggregates_.size();
+  const size_t groups = table->keys.group_count();
+  table->states.resize(groups * num_aggs);
+  table->minmax_strings.resize(num_aggs);
+  table->distinct.resize(num_aggs);
   for (size_t a = 0; a < num_aggs; ++a) {
-    const AggState& s = src.states[src_gid * num_aggs + a];
-    AggState& d = groups_.states[dst_gid * num_aggs + a];
-    // MIN/MAX compare before the counts fold in (count == 0 means "no
-    // value yet" on both sides of the comparison).
-    switch (aggregates_[a].func) {
-      case AggFunc::kMin:
-      case AggFunc::kMax: {
-        if (s.count == 0) break;
-        const bool is_min = aggregates_[a].func == AggFunc::kMin;
-        if (aggregates_[a].result_type == TypeId::kString) {
-          const std::string& sv = src.minmax_strings[a][src_gid];
-          std::string& dv = groups_.minmax_strings[a][dst_gid];
-          if (d.count == 0 || (is_min ? sv < dv : sv > dv)) dv = sv;
-        } else if (aggregates_[a].result_type == TypeId::kDouble) {
+    if (StringMinMax(aggregates_[a])) table->minmax_strings[a].resize(groups);
+  }
+}
+
+void PhysicalHashAggregate::MergePartial(AggTable* src,
+                                         const std::vector<uint32_t>* sel,
+                                         AggTable* dst,
+                                         std::vector<uint8_t>* created,
+                                         ExecStats* stats) const {
+  const size_t n = sel != nullptr ? sel->size() : src->keys.group_count();
+  if (sel == nullptr && dst->keys.group_count() == 0) {
+    // Folding into an empty table copies every state: take `src` whole.
+    *dst = std::move(*src);
+    if (created != nullptr) created->assign(n, 1);
+    return;
+  }
+  // The partial's stored key columns and (already salted) group hashes
+  // feed straight back through FindOrCreate — no re-encoding.
+  const std::vector<ColumnVector>* keys = &src->keys.keys();
+  const uint64_t* hashes = src->keys.group_hashes().data();
+  std::vector<ColumnVector> sel_keys;
+  std::vector<uint64_t> sel_hashes;
+  if (sel != nullptr) {
+    for (const ColumnVector& key : *keys) sel_keys.push_back(key.Gather(*sel));
+    for (uint32_t g : *sel) sel_hashes.push_back(hashes[g]);
+    keys = &sel_keys;
+    hashes = sel_hashes.data();
+  }
+  std::vector<uint32_t> gids(n);
+  std::vector<uint8_t> fresh(n);
+  HashTableStats ht;
+  dst->keys.FindOrCreate(*keys, hashes, n, gids.data(), fresh.data(), &ht);
+  stats->hash_table_lookups += ht.lookups;
+  stats->hash_table_probe_steps += ht.probe_steps;
+  GrowStates(dst);
+
+  const size_t num_aggs = aggregates_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t sg = sel != nullptr ? (*sel)[i] : i;
+    const size_t dg = gids[i];
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const AggState& s = src->states[sg * num_aggs + a];
+      AggState& d = dst->states[dg * num_aggs + a];
+      const AggregateSpec& spec = aggregates_[a];
+      if (fresh[i] != 0) {
+        d = s;
+        if (StringMinMax(spec)) {
+          dst->minmax_strings[a][dg] = std::move(src->minmax_strings[a][sg]);
+        }
+        continue;
+      }
+      // MIN/MAX compare before the counts fold in (count == 0 means "no
+      // value yet" on both sides of the comparison).
+      if ((spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) &&
+          s.count != 0) {
+        const bool is_min = spec.func == AggFunc::kMin;
+        if (StringMinMax(spec)) {
+          std::string& sv = src->minmax_strings[a][sg];
+          std::string& dv = dst->minmax_strings[a][dg];
+          if (d.count == 0 || (is_min ? sv < dv : sv > dv)) dv = std::move(sv);
+        } else if (spec.result_type == TypeId::kDouble) {
           if (d.count == 0 ||
               (is_min ? s.minmax_d < d.minmax_d : s.minmax_d > d.minmax_d)) {
             d.minmax_d = s.minmax_d;
           }
-        } else {
-          if (d.count == 0 ||
-              (is_min ? s.minmax_i < d.minmax_i : s.minmax_i > d.minmax_i)) {
-            d.minmax_i = s.minmax_i;
-          }
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    d.count += s.count;
-    d.sum_d += s.sum_d;
-    d.sum_sq += s.sum_sq;
-    d.sum_i += s.sum_i;
-    d.has_value = d.has_value || s.has_value;
-  }
-}
-
-void PhysicalHashAggregate::MergePartial(AggTable&& partial) {
-  size_t n = partial.keys.group_count();
-  if (n == 0) return;
-  size_t num_aggs = aggregates_.size();
-  if (groups_.minmax_strings.size() != num_aggs) {
-    groups_.minmax_strings.resize(num_aggs);
-    groups_.distinct.resize(num_aggs);
-  }
-  // The partial's stored key columns and (already salted) group hashes
-  // feed straight back through FindOrCreate — no re-encoding.
-  std::vector<uint32_t> gids(n);
-  std::vector<uint8_t> created(n);
-  HashTableStats ht;
-  groups_.keys.FindOrCreate(partial.keys.keys(),
-                            partial.keys.group_hashes().data(), n,
-                            gids.data(), created.data(), &ht);
-  context_->stats.hash_table_lookups += ht.lookups;
-  context_->stats.hash_table_probe_steps += ht.probe_steps;
-  size_t total = groups_.keys.group_count();
-  groups_.states.resize(total * num_aggs);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    if (!partial.minmax_strings.empty() &&
-        !partial.minmax_strings[a].empty()) {
-      partial.minmax_strings[a].resize(n);
-      groups_.minmax_strings[a].resize(total);
-    } else if (!groups_.minmax_strings[a].empty()) {
-      groups_.minmax_strings[a].resize(total);
-    }
-  }
-  for (size_t g = 0; g < n; ++g) {
-    size_t dst = gids[g];
-    if (created[g] != 0) {
-      for (size_t a = 0; a < num_aggs; ++a) {
-        groups_.states[dst * num_aggs + a] =
-            partial.states[g * num_aggs + a];
-        if (!groups_.minmax_strings[a].empty() &&
-            !partial.minmax_strings.empty() &&
-            !partial.minmax_strings[a].empty()) {
-          groups_.minmax_strings[a][dst] =
-              std::move(partial.minmax_strings[a][g]);
+        } else if (d.count == 0 || (is_min ? s.minmax_i < d.minmax_i
+                                           : s.minmax_i > d.minmax_i)) {
+          d.minmax_i = s.minmax_i;
         }
       }
-    } else {
-      MergeAggStates(partial, g, dst);
+      d.count += s.count;
+      d.sum_d += s.sum_d;
+      d.sum_sq += s.sum_sq;
+      d.sum_i += s.sum_i;
+      d.has_value = d.has_value || s.has_value;
     }
   }
+  if (created != nullptr) *created = std::move(fresh);
 }
 
 void PhysicalHashAggregate::FinalizeInto(const AggTable& table, Chunk* out,
@@ -524,167 +492,178 @@ void PhysicalHashAggregate::FinalizeInto(const AggTable& table, Chunk* out,
   }
 }
 
-Status PhysicalHashAggregate::OpenSpill() {
-  parts_.clear();
-  streams_.clear();
-  const size_t num_parts = std::max<size_t>(1, context_->spill_partitions);
-  parts_.resize(num_parts);
-
-  // Serial input drain; the serial chunk order equals the morsel order,
-  // so results match the parallel in-memory path by construction.
-  AGORA_RETURN_IF_ERROR(child_->Open());
-  int64_t base_idx = 0;
-  bool done = false;
-  while (!done) {
-    Chunk input;
-    AGORA_RETURN_IF_ERROR(child_->Next(&input, &done));
-    size_t rows = input.num_rows();
-    if (rows == 0) continue;
-    AGORA_RETURN_IF_ERROR(AccumulatePartitioned(input, base_idx));
-    base_idx += static_cast<int64_t>(rows);
-    while (context_->memory->over_budget()) {
-      size_t resident = 0;
-      for (const AggPartition& part : parts_) {
-        resident += part.table.keys.group_count();
+Status PhysicalHashAggregate::AccumulateSpill(const Chunk& input) {
+  {
+    AggInput in;
+    AGORA_RETURN_IF_ERROR(EvaluateInput(input, &in));
+    const size_t rows = in.rows;
+    context_->stats.rows_aggregated += static_cast<int64_t>(rows);
+    // A group always lands in the same partition, so each partition sees
+    // its groups' rows in input order.
+    const size_t num_parts = parts_.size();
+    std::vector<std::vector<uint32_t>> psel(num_parts);
+    for (size_t r = 0; r < rows; ++r) {
+      psel[in.hashes[r] % num_parts].push_back(static_cast<uint32_t>(r));
+    }
+    for (size_t p = 0; p < num_parts; ++p) {
+      const std::vector<uint32_t>& sel = psel[p];
+      if (sel.empty()) continue;
+      std::vector<int64_t> order(sel.size());
+      for (size_t i = 0; i < sel.size(); ++i) order[i] = rows_seen_ + sel[i];
+      AggInput sub;
+      if (sel.size() == rows) {
+        sub = std::move(in);  // the whole chunk: no gather
+      } else {
+        sub.rows = sel.size();
+        for (const ColumnVector& key : in.keys) {
+          sub.keys.push_back(key.Gather(sel));
+        }
+        for (size_t a = 0; a < aggregates_.size(); ++a) {
+          sub.args.push_back(aggregates_[a].arg != nullptr
+                                 ? in.args[a].Gather(sel)
+                                 : ColumnVector());
+        }
+        for (uint32_t r : sel) sub.hashes.push_back(in.hashes[r]);
       }
-      if (resident == 0) break;  // nothing to shed; reload checks decide
-      AGORA_RETURN_IF_ERROR(SpillAggVictim());
-    }
-  }
-
-  // Finalize resident partitions first (frees their tables), then reload
-  // spilled partitions one at a time into the freed headroom. Once any
-  // partition spilled, resident output spools to disk too: keeping it in
-  // memory would shrink the headroom the reloads were spilled to create.
-  bool any_spilled = false;
-  for (const AggPartition& part : parts_) {
-    any_spilled = any_spilled || part.spilled;
-  }
-  for (AggPartition& part : parts_) {
-    if (part.spilled) continue;
-    if (part.table.keys.group_count() > 0) {
+      AggPartition& part = parts_[p];
+      if (!part.spilled) {
+        AccumulateRun(sub, order.data(), &part);
+        continue;
+      }
+      // A spilled partition logs the evaluated rows: [keys..., args...,
+      // hash, order, run].
+      Chunk rec;
+      for (ColumnVector& key : sub.keys) rec.AddColumn(std::move(key));
+      for (size_t a = 0; a < aggregates_.size(); ++a) {
+        if (aggregates_[a].arg != nullptr) {
+          rec.AddColumn(std::move(sub.args[a]));
+        }
+      }
+      ColumnVector hcol(TypeId::kInt64);
+      ColumnVector ocol(TypeId::kInt64);
+      ColumnVector rcol(TypeId::kInt64);
+      for (size_t i = 0; i < sel.size(); ++i) {
+        hcol.AppendInt64(static_cast<int64_t>(sub.hashes[i]));
+        ocol.AppendInt64(order[i]);
+        rcol.AppendInt64(run_);
+      }
+      rec.AddColumn(std::move(hcol));
+      rec.AddColumn(std::move(ocol));
+      rec.AddColumn(std::move(rcol));
       AGORA_RETURN_IF_ERROR(
-          FinalizePartition(part.table, part.first_idx, &part, any_spilled));
+          SpillWriteChunk(part.file.get(), rec, &context_->stats));
     }
-    part.table = AggTable{};
-    std::vector<int64_t>().swap(part.first_idx);
+    rows_seen_ += static_cast<int64_t>(rows);
   }
-  for (AggPartition& part : parts_) {
-    if (!part.spilled) continue;
-    AggTable table;
-    std::vector<int64_t> first_idx;
-    AGORA_RETURN_IF_ERROR(ReloadAndReplay(&part, &table, &first_idx));
-    AGORA_RETURN_IF_ERROR(
-        FinalizePartition(table, first_idx, &part, /*to_disk=*/true));
-  }
-
-  // Arm the first-appearance merge: one stream per non-empty partition.
-  for (AggPartition& part : parts_) {
-    if (part.out_file != nullptr) {
-      AggStream s;
-      s.file = part.out_file.get();
-      AGORA_RETURN_IF_ERROR(s.file->Rewind());
-      streams_.push_back(std::move(s));
-    } else if (!part.finalized.empty()) {
-      AggStream s;
-      s.mem = std::move(part.finalized);
-      streams_.push_back(std::move(s));
+  // Shed after every chunk: a run can be a whole morsel, or the whole
+  // input when it carries no morsel index.
+  while (context_->memory->over_budget()) {
+    bool resident = false;
+    for (const AggPartition& part : parts_) {
+      resident = resident || (!part.spilled &&
+                              part.table.keys.group_count() +
+                                      part.run.keys.group_count() >
+                                  0);
     }
-  }
-  for (AggStream& s : streams_) {
-    AGORA_RETURN_IF_ERROR(AdvanceAggStream(&s));
+    if (!resident) break;  // nothing to shed; reload checks decide
+    AGORA_RETURN_IF_ERROR(SpillAggVictim());
   }
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::AccumulatePartitioned(const Chunk& input,
-                                                    int64_t base_idx) {
-  const size_t num_parts = parts_.size();
-  size_t rows = input.num_rows();
-  size_t num_aggs = aggregates_.size();
+void PhysicalHashAggregate::AccumulateRun(const AggInput& in,
+                                          const int64_t* order,
+                                          AggPartition* part) {
+  AccumulateInput(in, &part->run, &context_->stats);
+  const std::vector<uint8_t>& created = part->run.created_scratch;
+  for (size_t i = 0; i < in.rows; ++i) {
+    if (created[i] != 0) part->run_order.push_back(order[i]);
+  }
+}
+
+void PhysicalHashAggregate::FoldRun(AggPartition* part) {
+  if (part->run.keys.group_count() == 0) return;
+  std::vector<uint8_t> created;
+  MergePartial(&part->run, nullptr, &part->table, &created, &context_->stats);
+  for (size_t i = 0; i < created.size(); ++i) {
+    if (created[i] != 0) part->order.push_back(part->run_order[i]);
+  }
+  part->run = AggTable{};
+  part->run_order.clear();
+}
+
+Status PhysicalHashAggregate::WriteGroups(SpillFile* file,
+                                          const AggTable& table,
+                                          const std::vector<int64_t>& order) {
   ExecStats* stats = &context_->stats;
-  stats->rows_aggregated += static_cast<int64_t>(rows);
-
-  // Evaluate keys and arguments once, then scatter rows to their group-
-  // hash partition. All rows of a group share a partition, so per-group
-  // accumulation order is the global arrival order — unchanged.
-  std::vector<ColumnVector> key_cols(group_by_.size());
-  for (size_t g = 0; g < group_by_.size(); ++g) {
-    AGORA_RETURN_IF_ERROR(group_by_[g]->Evaluate(input, &key_cols[g]));
+  const size_t n = table.keys.group_count();
+  const size_t num_aggs = aggregates_.size();
+  Chunk keys;
+  for (const ColumnVector& key : table.keys.keys()) keys.AddColumn(key);
+  ColumnVector hcol(TypeId::kInt64);
+  ColumnVector ocol(TypeId::kInt64);
+  for (size_t g = 0; g < n; ++g) {
+    hcol.AppendInt64(static_cast<int64_t>(table.keys.group_hashes()[g]));
+    ocol.AppendInt64(order[g]);
   }
-  std::vector<ColumnVector> arg_cols(num_aggs);
+  keys.AddColumn(std::move(hcol));
+  keys.AddColumn(std::move(ocol));
+  AGORA_RETURN_IF_ERROR(SpillWriteChunk(file, keys, stats));
+  AGORA_RETURN_IF_ERROR(SpillWriteBlob(
+      file, table.states.data(), n * num_aggs * sizeof(AggState), stats));
+
+  Chunk strings;
   for (size_t a = 0; a < num_aggs; ++a) {
-    if (aggregates_[a].arg != nullptr) {
-      AGORA_RETURN_IF_ERROR(aggregates_[a].arg->Evaluate(input, &arg_cols[a]));
-    }
+    if (!StringMinMax(aggregates_[a])) continue;
+    ColumnVector col(TypeId::kString);
+    for (size_t g = 0; g < n; ++g) col.AppendString(table.minmax_strings[a][g]);
+    strings.AddColumn(std::move(col));
   }
-  std::vector<uint64_t> hashes(rows, kHashTableSalt);
-  for (const ColumnVector& col : key_cols) {
-    col.HashBatch(hashes.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/true);
+  strings.SetExplicitRowCount(n);
+  return SpillWriteChunk(file, strings, stats);
+}
+
+Status PhysicalHashAggregate::ReadGroups(SpillFile* file, AggTable* table,
+                                         std::vector<int64_t>* order) {
+  ExecStats* stats = &context_->stats;
+  Chunk keys;
+  std::string blob;
+  Chunk strings;
+  bool eof = false;
+  AGORA_RETURN_IF_ERROR(SpillReadChunk(file, &keys, &eof, stats));
+  if (!eof) AGORA_RETURN_IF_ERROR(SpillReadBlob(file, &blob, stats));
+  if (!eof) AGORA_RETURN_IF_ERROR(SpillReadChunk(file, &strings, &eof, stats));
+  if (eof) return Status::IoError("spill file missing group record");
+  const size_t n = keys.num_rows();
+  if (n == 0) return Status::OK();  // an empty table has no key columns
+  const size_t num_keys = group_by_.size();
+  // A fresh table assigns the record's distinct keys identity group ids.
+  std::vector<ColumnVector> kcols;
+  for (size_t k = 0; k < num_keys; ++k) {
+    kcols.push_back(std::move(keys.column(k)));
   }
-  std::vector<std::vector<uint32_t>> psel(num_parts);
-  for (size_t r = 0; r < rows; ++r) {
-    psel[hashes[r] % num_parts].push_back(static_cast<uint32_t>(r));
+  const int64_t* h = keys.column(num_keys).int64_data();
+  std::vector<uint64_t> hashes(h, h + n);
+  std::vector<uint32_t> gids(n);
+  std::vector<uint8_t> created(n);
+  HashTableStats ht;
+  table->keys.FindOrCreate(kcols, hashes.data(), n, gids.data(),
+                           created.data(), &ht);
+  const int64_t* o = keys.column(num_keys + 1).int64_data();
+  order->assign(o, o + n);
+  GrowStates(table);
+
+  if (blob.size() != table->states.size() * sizeof(AggState)) {
+    return Status::IoError("spill record accumulator size mismatch");
   }
-
-  for (size_t p = 0; p < num_parts; ++p) {
-    const std::vector<uint32_t>& sel = psel[p];
-    if (sel.empty()) continue;
-    AggPartition& part = parts_[p];
-    size_t n = sel.size();
-    std::vector<ColumnVector> pkeys;
-    pkeys.reserve(key_cols.size());
-    for (const ColumnVector& col : key_cols) pkeys.push_back(col.Gather(sel));
-    std::vector<uint64_t> phashes(n);
-    for (size_t i = 0; i < n; ++i) phashes[i] = hashes[sel[i]];
-
-    if (part.spilled) {
-      // Append to the partition's replay log:
-      // [keys..., args (non-null specs)..., hash, global index].
-      Chunk rc;
-      for (ColumnVector& col : pkeys) rc.AddColumn(std::move(col));
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (aggregates_[a].arg != nullptr) {
-          rc.AddColumn(arg_cols[a].Gather(sel));
-        }
-      }
-      ColumnVector hcol(TypeId::kInt64);
-      ColumnVector icol(TypeId::kInt64);
-      for (size_t i = 0; i < n; ++i) {
-        hcol.AppendInt64(static_cast<int64_t>(phashes[i]));
-        icol.AppendInt64(base_idx + sel[i]);
-      }
-      rc.AddColumn(std::move(hcol));
-      rc.AddColumn(std::move(icol));
-      AGORA_RETURN_IF_ERROR(SpillWriteChunk(part.file.get(), rc, stats));
-      continue;
+  std::memcpy(table->states.data(), blob.data(), blob.size());
+  size_t c = 0;
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    if (!StringMinMax(aggregates_[a])) continue;
+    const ColumnVector& col = strings.column(c++);
+    for (size_t g = 0; g < n; ++g) {
+      table->minmax_strings[a][g] = col.GetString(g);
     }
-
-    AggTable& table = part.table;
-    if (table.minmax_strings.size() != num_aggs) {
-      table.minmax_strings.resize(num_aggs);
-      table.distinct.resize(num_aggs);
-    }
-    std::vector<uint32_t> gids(n);
-    std::vector<uint8_t> created(n);
-    HashTableStats ht;
-    table.keys.FindOrCreate(pkeys, phashes.data(), n, gids.data(),
-                            created.data(), &ht);
-    stats->hash_table_lookups += ht.lookups;
-    stats->hash_table_probe_steps += ht.probe_steps;
-    for (size_t i = 0; i < n; ++i) {
-      if (created[i] != 0) {
-        part.first_idx.push_back(base_idx + sel[i]);
-      }
-    }
-    table.states.resize(table.keys.group_count() * num_aggs);
-    std::vector<ColumnVector> pargs(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (aggregates_[a].arg != nullptr) pargs[a] = arg_cols[a].Gather(sel);
-    }
-    AGORA_RETURN_IF_ERROR(
-        ApplyAccumulators(pargs, gids.data(), n, &table, stats));
   }
   return Status::OK();
 }
@@ -693,184 +672,75 @@ Status PhysicalHashAggregate::SpillAggVictim() {
   size_t victim = SIZE_MAX;
   size_t best = 0;
   for (size_t p = 0; p < parts_.size(); ++p) {
-    size_t n = parts_[p].table.keys.group_count();
-    if (!parts_[p].spilled && n > best) {
+    const AggPartition& part = parts_[p];
+    size_t n = part.table.keys.group_count() + part.run.keys.group_count();
+    if (!part.spilled && n > best) {
       victim = p;
       best = n;
     }
   }
   AGORA_CHECK(victim != SIZE_MAX);
   AggPartition& part = parts_[victim];
-  const AggTable& table = part.table;
-  size_t n = table.keys.group_count();
-  size_t num_aggs = aggregates_.size();
-  if (part.file == nullptr) {
-    AGORA_ASSIGN_OR_RETURN(part.file, context_->spill->Create());
-  }
-
-  // Snapshot record 1: the stored group keys, hashes, and first-
-  // appearance indices as one group-major chunk.
-  Chunk snap;
-  for (const ColumnVector& key : table.keys.keys()) snap.AddColumn(key);
-  ColumnVector hcol(TypeId::kInt64);
-  ColumnVector icol(TypeId::kInt64);
-  for (size_t g = 0; g < n; ++g) {
-    hcol.AppendInt64(static_cast<int64_t>(table.keys.group_hashes()[g]));
-    icol.AppendInt64(part.first_idx[g]);
-  }
-  snap.AddColumn(std::move(hcol));
-  snap.AddColumn(std::move(icol));
+  AGORA_ASSIGN_OR_RETURN(part.file, context_->spill->Create());
+  AGORA_RETURN_IF_ERROR(WriteGroups(part.file.get(), part.table, part.order));
   AGORA_RETURN_IF_ERROR(
-      SpillWriteChunk(part.file.get(), snap, &context_->stats));
-
-  // Snapshot record 2: the accumulators, raw (AggState is trivially
-  // copyable, and raw bytes round-trip doubles bit-exactly).
-  AGORA_RETURN_IF_ERROR(SpillWriteBlob(part.file.get(), table.states.data(),
-                                       n * num_aggs * sizeof(AggState),
-                                       &context_->stats));
-
-  // Snapshot record 3: string MIN/MAX side state, one column per
-  // aggregate (all-NULL when the aggregate keeps none).
-  Chunk mm;
-  for (size_t a = 0; a < num_aggs; ++a) {
-    ColumnVector col(TypeId::kString);
-    if (table.minmax_strings.size() > a &&
-        table.minmax_strings[a].size() == n) {
-      for (size_t g = 0; g < n; ++g) {
-        col.AppendString(table.minmax_strings[a][g]);
-      }
-    } else {
-      for (size_t g = 0; g < n; ++g) col.AppendNull();
-    }
-    mm.AddColumn(std::move(col));
-  }
-  if (num_aggs == 0) mm.SetExplicitRowCount(n);
-  AGORA_RETURN_IF_ERROR(
-      SpillWriteChunk(part.file.get(), mm, &context_->stats));
-
+      WriteGroups(part.file.get(), part.run, part.run_order));
+  part.spill_run = run_;
   part.table = AggTable{};
-  std::vector<int64_t>().swap(part.first_idx);
+  part.run = AggTable{};
+  std::vector<int64_t>().swap(part.order);
+  std::vector<int64_t>().swap(part.run_order);
   part.spilled = true;
   context_->stats.spill_partitions++;
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::ReloadAndReplay(AggPartition* part,
-                                              AggTable* table,
-                                              std::vector<int64_t>* first_idx) {
-  size_t num_aggs = aggregates_.size();
-  size_t num_keys = group_by_.size();
+Status PhysicalHashAggregate::ReloadPartition(AggPartition* part) {
+  // Restore the table and the unfinished run partial as they stood at the
+  // spill, then replay the logged rows: a row continues its run's partial
+  // exactly where the in-memory path would have, and a run's partial
+  // folds in when the next run's rows begin.
   AGORA_RETURN_IF_ERROR(part->file->Rewind());
-
-  // Snapshot: rebuild the key table from the stored keys (a fresh table
-  // assigns identity group ids in row order), then overlay the raw
-  // accumulators and string MIN/MAX state.
-  Chunk snap;
-  bool eof = false;
-  AGORA_RETURN_IF_ERROR(
-      SpillReadChunk(part->file.get(), &snap, &eof, &context_->stats));
-  if (eof) {
-    return Status::IoError("spill file missing aggregate state snapshot");
-  }
-  size_t n = snap.num_rows();
-  std::vector<ColumnVector> kcols;
-  kcols.reserve(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) kcols.push_back(snap.column(k));
-  std::vector<uint64_t> hashes(n);
-  const int64_t* hdata = snap.column(num_keys).int64_data();
-  for (size_t g = 0; g < n; ++g) hashes[g] = static_cast<uint64_t>(hdata[g]);
-  std::vector<uint32_t> gids(n);
-  std::vector<uint8_t> created(n);
-  HashTableStats ht;
-  table->keys.FindOrCreate(kcols, hashes.data(), n, gids.data(),
-                           created.data(), &ht);
-  const int64_t* idata = snap.column(num_keys + 1).int64_data();
-  first_idx->assign(idata, idata + n);
-  // The table now owns its own copy of the keys; drop the snapshot and
-  // the scratch arrays before reading the accumulators so the reload
-  // never holds two copies of the partition at once.
-  kcols.clear();
-  snap = Chunk();
-  std::vector<uint64_t>().swap(hashes);
-  std::vector<uint32_t>().swap(gids);
-  std::vector<uint8_t>().swap(created);
-
-  std::string blob;
-  AGORA_RETURN_IF_ERROR(
-      SpillReadBlob(part->file.get(), &blob, &context_->stats));
-  if (blob.size() != n * num_aggs * sizeof(AggState)) {
-    return Status::IoError("spill snapshot accumulator size mismatch");
-  }
-  table->states.resize(n * num_aggs);
-  if (!blob.empty()) {
-    std::memcpy(table->states.data(), blob.data(), blob.size());
-  }
-  std::string().swap(blob);
-  Chunk mm;
-  AGORA_RETURN_IF_ERROR(
-      SpillReadChunk(part->file.get(), &mm, &eof, &context_->stats));
-  if (eof) return Status::IoError("spill file missing MIN/MAX snapshot");
-  table->minmax_strings.resize(num_aggs);
-  table->distinct.resize(num_aggs);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    const AggregateSpec& spec = aggregates_[a];
-    if (spec.result_type != TypeId::kString ||
-        (spec.func != AggFunc::kMin && spec.func != AggFunc::kMax)) {
-      continue;
-    }
-    std::vector<std::string>& ms = table->minmax_strings[a];
-    ms.resize(n);
-    for (size_t g = 0; g < n; ++g) {
-      if (!mm.column(a).IsNull(g)) ms[g] = mm.column(a).GetString(g);
-    }
-  }
-  mm = Chunk();
-
-  // Replay the logged rows in arrival order: identical per-group
-  // accumulation sequence to the never-spilled execution.
+  AGORA_RETURN_IF_ERROR(ReadGroups(part->file.get(), &part->table,
+                                   &part->order));
+  AGORA_RETURN_IF_ERROR(ReadGroups(part->file.get(), &part->run,
+                                   &part->run_order));
+  int64_t run = part->spill_run;
   for (;;) {
-    Chunk rc;
+    Chunk rec;
+    bool eof = false;
     AGORA_RETURN_IF_ERROR(
-        SpillReadChunk(part->file.get(), &rc, &eof, &context_->stats));
+        SpillReadChunk(part->file.get(), &rec, &eof, &context_->stats));
     if (eof) break;
-    size_t rows = rc.num_rows();
-    std::vector<ColumnVector> rkeys;
-    rkeys.reserve(num_keys);
-    for (size_t k = 0; k < num_keys; ++k) rkeys.push_back(rc.column(k));
-    std::vector<ColumnVector> rargs(num_aggs);
-    size_t c = num_keys;
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (aggregates_[a].arg != nullptr) rargs[a] = rc.column(c++);
+    AggInput in;
+    in.rows = rec.num_rows();
+    size_t c = 0;
+    for (size_t k = 0; k < group_by_.size(); ++k) {
+      in.keys.push_back(std::move(rec.column(c++)));
     }
-    const int64_t* rh = rc.column(c).int64_data();
-    const int64_t* ri = rc.column(c + 1).int64_data();
-    std::vector<uint64_t> rhashes(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      rhashes[r] = static_cast<uint64_t>(rh[r]);
+    for (const AggregateSpec& spec : aggregates_) {
+      in.args.push_back(spec.arg != nullptr ? std::move(rec.column(c++))
+                                            : ColumnVector());
     }
-    std::vector<uint32_t> rgids(rows);
-    std::vector<uint8_t> rcreated(rows);
-    HashTableStats rht;
-    table->keys.FindOrCreate(rkeys, rhashes.data(), rows, rgids.data(),
-                             rcreated.data(), &rht);
-    context_->stats.hash_table_lookups += rht.lookups;
-    context_->stats.hash_table_probe_steps += rht.probe_steps;
-    for (size_t r = 0; r < rows; ++r) {
-      if (rcreated[r] != 0) first_idx->push_back(ri[r]);
+    const int64_t* h = rec.column(c).int64_data();
+    in.hashes.assign(h, h + in.rows);
+    const int64_t tag = rec.column(c + 2).int64_data()[0];
+    if (tag != run) {
+      FoldRun(part);
+      run = tag;
     }
-    table->states.resize(table->keys.group_count() * num_aggs);
-    AGORA_RETURN_IF_ERROR(
-        ApplyAccumulators(rargs, rgids.data(), rows, table, &context_->stats));
+    AccumulateRun(in, rec.column(c + 1).int64_data(), part);
   }
+  FoldRun(part);
   context_->spill->Recycle(std::move(part->file));
   // A partition that cannot fit alone even after spilling is the scheme's
   // graceful-failure point.
   return context_->CheckMemoryBudget("HashAggregate::spill-reload");
 }
 
-Status PhysicalHashAggregate::FinalizePartition(
-    const AggTable& table, const std::vector<int64_t>& first_idx,
-    AggPartition* part, bool to_disk) {
+Status PhysicalHashAggregate::FinalizePartition(AggPartition* part,
+                                                bool to_disk) {
+  const AggTable& table = part->table;
   size_t n = table.keys.group_count();
   context_->stats.hash_table_entries += static_cast<int64_t>(n);
   context_->stats.hash_table_slots +=
@@ -889,7 +759,7 @@ Status PhysicalHashAggregate::FinalizePartition(
     ColumnVector idx(TypeId::kInt64);
     for (size_t g = start; g < start + count; ++g) {
       FinalizeInto(table, &out, g);
-      idx.AppendInt64(first_idx[g]);
+      idx.AppendInt64(part->order[g]);
     }
     out.AddColumn(std::move(idx));
     if (to_disk) {
@@ -899,105 +769,65 @@ Status PhysicalHashAggregate::FinalizePartition(
       part->finalized.push_back(std::move(out));
     }
   }
+  part->table = AggTable{};
+  std::vector<int64_t>().swap(part->order);
   return Status::OK();
 }
 
-Status PhysicalHashAggregate::AdvanceAggStream(AggStream* s) {
-  while (!s->exhausted && s->row >= s->chunk.num_rows()) {
-    s->row = 0;
-    if (s->file != nullptr) {
-      Chunk next;
-      bool eof = false;
+Status PhysicalHashAggregate::FinishSpill() {
+  // Finalize resident partitions first (frees their tables), then reload
+  // spilled partitions one at a time into the freed headroom. Once any
+  // partition spilled, resident output spools to disk too: keeping it in
+  // memory would shrink the headroom the reloads were spilled to create.
+  bool any_spilled = false;
+  for (const AggPartition& part : parts_) {
+    any_spilled = any_spilled || part.spilled;
+  }
+  for (AggPartition& part : parts_) {
+    if (!part.spilled && part.table.keys.group_count() > 0) {
+      AGORA_RETURN_IF_ERROR(FinalizePartition(&part, any_spilled));
+    }
+  }
+  for (AggPartition& part : parts_) {
+    if (!part.spilled) continue;
+    AGORA_RETURN_IF_ERROR(ReloadPartition(&part));
+    AGORA_RETURN_IF_ERROR(FinalizePartition(&part, /*to_disk=*/true));
+  }
+
+  // Arm the first-appearance merge: one stream per non-empty partition.
+  for (AggPartition& part : parts_) {
+    if (part.out_file != nullptr) {
       AGORA_RETURN_IF_ERROR(
-          SpillReadChunk(s->file, &next, &eof, &context_->stats));
-      if (eof) {
-        s->exhausted = true;
-        s->chunk = Chunk();
-      } else {
-        s->chunk = std::move(next);
-      }
-    } else if (s->mem_pos < s->mem.size()) {
-      s->chunk = std::move(s->mem[s->mem_pos++]);
-    } else {
-      s->exhausted = true;
-      s->chunk = Chunk();
+          merge_.AddFile(part.out_file.get(), &context_->stats));
+    } else if (!part.finalized.empty()) {
+      AGORA_RETURN_IF_ERROR(
+          merge_.AddChunks(std::move(part.finalized), &context_->stats));
     }
   }
-  return Status::OK();
-}
-
-Status PhysicalHashAggregate::EmitMerged(Chunk* chunk, bool* done) {
-  const size_t ncols = schema_.num_fields();
-  Chunk out(schema_);
-  std::vector<uint32_t> sel;
-  while (out.num_rows() < kChunkSize) {
-    // Smallest head index wins (indices are disjoint across partitions —
-    // a group is created by exactly one global row).
-    size_t best = SIZE_MAX;
-    int64_t best_idx = 0;
-    int64_t second = INT64_MAX;
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      AggStream& s = streams_[i];
-      if (s.exhausted) continue;
-      int64_t idx = s.chunk.column(ncols).GetInt64(s.row);
-      if (best == SIZE_MAX) {
-        best = i;
-        best_idx = idx;
-      } else if (idx < best_idx) {
-        second = best_idx;
-        best = i;
-        best_idx = idx;
-      } else if (idx < second) {
-        second = idx;
-      }
-    }
-    if (best == SIZE_MAX) break;
-    AggStream& s = streams_[best];
-    const int64_t* idxs = s.chunk.column(ncols).int64_data();
-    size_t room = kChunkSize - out.num_rows();
-    size_t end = s.row + 1;
-    while (end < s.chunk.num_rows() && idxs[end] < second &&
-           end - s.row < room) {
-      ++end;
-    }
-    sel.resize(end - s.row);
-    std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(s.row));
-    for (size_t c = 0; c < ncols; ++c) {
-      out.column(c).AppendGatherPadded(s.chunk.column(c), sel.data(),
-                                       sel.size());
-    }
-    s.row = end;
-    AGORA_RETURN_IF_ERROR(AdvanceAggStream(&s));
-  }
-
-  bool drained = true;
-  for (const AggStream& s : streams_) drained &= s.exhausted;
-  if (drained) {
-    streams_.clear();
-    for (AggPartition& part : parts_) {
-      if (part.out_file != nullptr) {
-        context_->spill->Recycle(std::move(part.out_file));
-      }
-    }
-  }
-  context_->stats.bytes_materialized +=
-      static_cast<int64_t>(out.MemoryBytes());
-  *chunk = std::move(out);
-  *done = drained;
   return Status::OK();
 }
 
 Status PhysicalHashAggregate::NextImpl(Chunk* chunk, bool* done) {
-  if (spill_mode_) return EmitMerged(chunk, done);
   Chunk out(schema_);
-  size_t emitted = 0;
-  while (next_group_ < num_groups_ && emitted < kChunkSize) {
-    FinalizeInto(groups_, &out, next_group_++);
-    ++emitted;
+  if (spill_mode_) {
+    AGORA_RETURN_IF_ERROR(merge_.Next(INT64_MAX, &out, &context_->stats));
+    *done = merge_.done();
+    if (*done) {
+      merge_.Clear();
+      for (AggPartition& part : parts_) {
+        if (part.out_file != nullptr) {
+          context_->spill->Recycle(std::move(part.out_file));
+        }
+      }
+    }
+  } else {
+    while (next_group_ < num_groups_ && out.num_rows() < kChunkSize) {
+      FinalizeInto(groups_, &out, next_group_++);
+    }
+    *done = next_group_ >= num_groups_;
   }
   context_->stats.bytes_materialized += static_cast<int64_t>(out.MemoryBytes());
   *chunk = std::move(out);
-  *done = next_group_ >= num_groups_;
   return Status::OK();
 }
 

@@ -62,6 +62,7 @@ Status PhysicalProject::ProcessChunk(const Chunk& input, Chunk* out,
     result.AddColumn(std::move(col));
   }
   result.SetExplicitRowCount(input.num_rows());
+  result.set_morsel(input.morsel());
   stats->expr_rows_evaluated += counters.rows_evaluated;
   stats->sel_vector_hits += counters.sel_hits;
   stats->bytes_materialized += static_cast<int64_t>(result.MemoryBytes());

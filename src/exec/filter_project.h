@@ -20,6 +20,7 @@ class PhysicalFilter : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override {
     return {child_.get()};
   }
+  bool carries_morsel() const override { return true; }
 
   /// Stateless per-chunk transform used by the morsel pipeline; safe to
   /// call from multiple workers concurrently.
@@ -46,6 +47,7 @@ class PhysicalProject : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override {
     return {child_.get()};
   }
+  bool carries_morsel() const override { return true; }
 
   /// Stateless per-chunk transform used by the morsel pipeline; safe to
   /// call from multiple workers concurrently.

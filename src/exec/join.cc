@@ -31,6 +31,48 @@ void AppendJoinedRow(const Chunk& left, size_t lrow, const Chunk& right,
   }
 }
 
+/// Evaluates `exprs` over `data` into `keys` and hashes them column-at-a-
+/// time into `hashes`. The salt only perturbs slot/Bloom bit choice: build
+/// and probe fold it in identically, so the match relation is unchanged.
+/// valid[r] == 0 when some key of row r is NULL (NULL keys never match).
+Status HashKeys(const std::vector<ExprPtr>& exprs, const Chunk& data,
+                std::vector<ColumnVector>* keys, std::vector<uint64_t>* hashes,
+                std::vector<uint8_t>* valid) {
+  size_t rows = data.num_rows();
+  keys->resize(exprs.size());
+  hashes->assign(rows, kHashTableSalt);
+  valid->assign(rows, 1);
+  for (size_t k = 0; k < exprs.size(); ++k) {
+    AGORA_RETURN_IF_ERROR(exprs[k]->Evaluate(data, &(*keys)[k]));
+    (*keys)[k].HashBatch(hashes->data(), rows, /*combine=*/true,
+                         /*normalize_zero=*/false);
+    const uint8_t* key_valid = (*keys)[k].validity_data();
+    for (size_t r = 0; r < rows; ++r) (*valid)[r] &= key_valid[r];
+  }
+  return Status::OK();
+}
+
+/// Appends rows `sel[0..n)` of every column of `src` to a fresh chunk.
+Chunk GatherColumns(const Chunk& src, const uint32_t* sel, size_t n) {
+  Chunk out;
+  for (size_t c = 0; c < src.num_columns(); ++c) {
+    ColumnVector col(src.column(c).type());
+    col.AppendGatherPadded(src.column(c), sel, n);
+    out.AddColumn(std::move(col));
+  }
+  return out;
+}
+
+/// Appends every row of `src` to `dst` (same column layout).
+void AppendChunk(const Chunk& src, Chunk* dst) {
+  std::vector<uint32_t> iota(src.num_rows());
+  std::iota(iota.begin(), iota.end(), 0u);
+  for (size_t c = 0; c < dst->num_columns(); ++c) {
+    dst->column(c).AppendGatherPadded(src.column(c), iota.data(),
+                                      iota.size());
+  }
+}
+
 }  // namespace
 
 PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
@@ -57,7 +99,6 @@ PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
 
 Status PhysicalHashJoin::OpenImpl() {
   probe_done_ = false;
-  build_keys_.clear();
   if (spill_mode_) return OpenSpill();
   AGORA_RETURN_IF_ERROR(left_->Open());
   // The build side collects through the morsel pipeline when eligible;
@@ -69,750 +110,79 @@ Status PhysicalHashJoin::OpenImpl() {
   // The build phase covers hashing + table fill, not the child collection
   // above (that time belongs to the child operators).
   MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
-  return BuildTable();
+  AGORA_RETURN_IF_ERROR(BuildTable());
+  CountTable();
+  return Status::OK();
 }
 
 Status PhysicalHashJoin::BuildTable() {
-  // Evaluate the build-side keys once over the materialized data.
-  build_keys_.resize(right_keys_.size());
-  for (size_t k = 0; k < right_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(
-        right_keys_[k]->Evaluate(build_data_, &build_keys_[k]));
-  }
-  size_t rows = build_data_.num_rows();
-  // Column-at-a-time key hashing. The salt only perturbs slot/Bloom bit
-  // choice: both sides fold it in identically, so the match relation is
-  // unchanged. NULL keys (any column) never match.
-  build_hashes_.assign(rows, kHashTableSalt);
-  build_valid_.assign(rows, 1);
-  for (const ColumnVector& key : build_keys_) {
-    key.HashBatch(build_hashes_.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/false);
-    const uint8_t* key_valid = key.validity_data();
-    for (size_t r = 0; r < rows; ++r) build_valid_[r] &= key_valid[r];
-  }
-
+  AGORA_RETURN_IF_ERROR(HashKeys(right_keys_, build_data_, &build_keys_,
+                                 &build_hashes_, &build_valid_));
   // Partition the insertions across workers: worker p owns partition p
   // outright, so no locks are needed and chains stay in ascending row
   // order — the partition count never changes results.
+  size_t rows = build_data_.num_rows();
   size_t num_partitions = 1;
   if (context_->pool != nullptr && context_->num_workers > 1 &&
       rows >= context_->parallel_min_rows) {
     num_partitions = static_cast<size_t>(context_->num_workers);
   }
+  table_ = std::make_unique<JoinHashTable>();
   AGORA_RETURN_IF_ERROR(
-      table_.Build(build_hashes_.data(), build_valid_.data(), rows,
-                   num_partitions,
-                   num_partitions > 1 ? context_->pool : nullptr));
-  context_->stats.hash_table_entries += table_.entries();
-  context_->stats.hash_table_slots += table_.slot_count();
+      table_->Build(build_hashes_.data(), build_valid_.data(), rows,
+                    num_partitions,
+                    num_partitions > 1 ? context_->pool : nullptr));
   return Status::OK();
 }
 
-namespace {
-
-/// Appends rows `sel[0..n)` of every column of `src` to a fresh chunk.
-/// Shared by the partition-buffer writers below.
-void GatherColumns(const Chunk& src, const uint32_t* sel, size_t n,
-                   Chunk* out) {
-  for (size_t c = 0; c < src.num_columns(); ++c) {
-    ColumnVector col(src.column(c).type());
-    col.AppendGatherPadded(src.column(c), sel, n);
-    out->AddColumn(std::move(col));
-  }
+void PhysicalHashJoin::CountTable() {
+  context_->stats.hash_table_entries += table_->entries();
+  context_->stats.hash_table_slots += table_->slot_count();
 }
 
-}  // namespace
-
-Status PhysicalHashJoin::OpenSpill() {
-  any_spilled_ = false;
-  parts_.clear();
-  merge_.clear();
-  immediate_file_.reset();
-  resident_data_ = Chunk();
-  resident_keys_.clear();
-  resident_hashes_.clear();
-  resident_valid_.clear();
-
-  AGORA_RETURN_IF_ERROR(left_->Open());
-  const size_t num_parts = std::max<size_t>(1, context_->spill_partitions);
-  parts_.resize(num_parts);
-
-  // Serial build drain: rows land in their hash partition's buffer (or
-  // go straight to its file once the partition has spilled). Shedding
-  // decisions happen at chunk granularity and only affect *where* rows
-  // wait, never what the join produces.
-  MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
-  AGORA_RETURN_IF_ERROR(right_->Open());
-  std::vector<std::vector<uint32_t>> psel(num_parts);
-  bool done = false;
-  while (!done) {
-    Chunk chunk;
-    AGORA_RETURN_IF_ERROR(right_->Next(&chunk, &done));
-    size_t rows = chunk.num_rows();
-    if (rows == 0) continue;
-    context_->stats.bytes_materialized +=
-        static_cast<int64_t>(chunk.MemoryBytes());
-
-    std::vector<ColumnVector> keys(right_keys_.size());
-    for (size_t k = 0; k < right_keys_.size(); ++k) {
-      AGORA_RETURN_IF_ERROR(right_keys_[k]->Evaluate(chunk, &keys[k]));
-    }
-    std::vector<uint64_t> hashes(rows, kHashTableSalt);
-    std::vector<uint8_t> valid(rows, 1);
-    for (const ColumnVector& key : keys) {
-      key.HashBatch(hashes.data(), rows, /*combine=*/true,
-                    /*normalize_zero=*/false);
-      const uint8_t* key_valid = key.validity_data();
-      for (size_t r = 0; r < rows; ++r) valid[r] &= key_valid[r];
-    }
-    // NULL-key build rows can never match and the probe side supplies all
-    // outer-join padding, so they are dropped here — same net effect as
-    // the in-memory table, which skips them at insert time.
-    for (std::vector<uint32_t>& sel : psel) sel.clear();
-    for (size_t r = 0; r < rows; ++r) {
-      if (valid[r] != 0) {
-        psel[hashes[r] % num_parts].push_back(static_cast<uint32_t>(r));
-      }
-    }
-    for (size_t p = 0; p < num_parts; ++p) {
-      if (psel[p].empty()) continue;
-      SpillPartition& part = parts_[p];
-      Chunk pc;
-      GatherColumns(chunk, psel[p].data(), psel[p].size(), &pc);
-      ColumnVector hcol(TypeId::kInt64);
-      for (uint32_t r : psel[p]) {
-        hcol.AppendInt64(static_cast<int64_t>(hashes[r]));
-      }
-      pc.AddColumn(std::move(hcol));
-      if (part.spilled) {
-        AGORA_RETURN_IF_ERROR(
-            SpillWriteChunk(part.build_file.get(), pc, &context_->stats));
-      } else {
-        part.rows += psel[p].size();
-        part.bytes += pc.MemoryBytes();
-        part.buffered.push_back(std::move(pc));
-      }
-    }
-    while (context_->memory->over_budget() && PickVictim() != SIZE_MAX) {
-      AGORA_RETURN_IF_ERROR(SpillBufferedVictim());
-    }
-  }
-  AGORA_RETURN_IF_ERROR(PrepareResident());
-  if (!any_spilled_) return Status::OK();  // NextImpl streams the probe
-
-  // Some partitions went to disk: drain the probe side now, spooling
-  // index-tagged output, then join each spilled partition from its files.
-  AGORA_RETURN_IF_ERROR(DrainProbeToStreams());
-
-  // Release the resident build state before the reloads — the deferred
-  // partitions need that budget headroom.
-  resident_data_ = Chunk();
-  resident_keys_.clear();
-  std::vector<uint64_t>().swap(resident_hashes_);
-  std::vector<uint8_t>().swap(resident_valid_);
-  for (SpillPartition& part : parts_) {
-    part.table.reset();
-    std::vector<Chunk>().swap(part.buffered);
-  }
-  for (SpillPartition& part : parts_) {
-    if (part.spilled) {
-      AGORA_RETURN_IF_ERROR(ProcessDeferredPartition(&part));
-    }
-  }
-
-  // Arm the k-way merge: one stream for the immediate output plus one per
-  // spilled partition. Probe-row indices are disjoint across streams and
-  // ascending within each, so the merge restores global probe order.
-  MergeStream immediate;
-  immediate.file = immediate_file_.get();
-  merge_.push_back(std::move(immediate));
-  for (SpillPartition& part : parts_) {
-    if (part.out_file != nullptr) {
-      MergeStream s;
-      s.file = part.out_file.get();
-      merge_.push_back(std::move(s));
-    }
-  }
-  for (MergeStream& s : merge_) {
-    AGORA_RETURN_IF_ERROR(s.file->Rewind());
-    AGORA_RETURN_IF_ERROR(AdvanceStream(&s));
-  }
-  return Status::OK();
+void PhysicalHashJoin::ReleaseBuild() {
+  table_.reset();
+  build_data_ = Chunk();
+  build_keys_.clear();
+  std::vector<uint64_t>().swap(build_hashes_);
+  std::vector<uint8_t>().swap(build_valid_);
 }
 
-size_t PhysicalHashJoin::PickVictim() const {
-  size_t victim = SIZE_MAX;
-  size_t best_rows = 0;
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    const SpillPartition& part = parts_[p];
-    if (!part.spilled && part.rows > best_rows) {
-      victim = p;
-      best_rows = part.rows;
-    }
-  }
-  return victim;
-}
-
-Status PhysicalHashJoin::SpillBufferedVictim() {
-  size_t victim = PickVictim();
-  AGORA_CHECK(victim != SIZE_MAX);
-  SpillPartition& part = parts_[victim];
-  if (part.build_file == nullptr) {
-    AGORA_ASSIGN_OR_RETURN(part.build_file, context_->spill->Create());
-  }
-  for (const Chunk& pc : part.buffered) {
-    AGORA_RETURN_IF_ERROR(
-        SpillWriteChunk(part.build_file.get(), pc, &context_->stats));
-  }
-  std::vector<Chunk>().swap(part.buffered);
-  part.rows = 0;
-  part.bytes = 0;
-  part.spilled = true;
-  any_spilled_ = true;
-  context_->stats.spill_partitions++;
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::PrepareResident() {
-  // Move the buffered partitions into one concatenation, freeing each
-  // buffer chunk as it lands. Partition order + arrival order makes the
-  // layout deterministic for a given shed history.
-  resident_data_ = Chunk(right_->schema());
-  resident_hashes_.clear();
-  const size_t ncols = resident_data_.num_columns();
-  std::vector<uint32_t> iota;
-  size_t offset = 0;
-  for (SpillPartition& part : parts_) {
-    part.table.reset();
-    part.base = offset;
-    if (part.spilled) continue;
-    for (Chunk& pc : part.buffered) {
-      size_t n = pc.num_rows();
-      iota.resize(n);
-      std::iota(iota.begin(), iota.end(), 0u);
-      for (size_t c = 0; c < ncols; ++c) {
-        resident_data_.column(c).AppendGatherPadded(pc.column(c), iota.data(),
-                                                    n);
-      }
-      const int64_t* h = pc.column(ncols).int64_data();
-      for (size_t i = 0; i < n; ++i) {
-        resident_hashes_.push_back(static_cast<uint64_t>(h[i]));
-      }
-      pc = Chunk();  // free as we go
-    }
-    std::vector<Chunk>().swap(part.buffered);
-    part.bytes = 0;
-    offset += part.rows;
-  }
-
-  // Build one single-partition table per resident partition over its
-  // hash slice. If the directories push the query back over budget, shed
-  // the largest partition and rebuild — at most P rounds.
-  for (;;) {
-    size_t total = 0;
-    for (SpillPartition& part : parts_) {
-      part.table.reset();
-      total += part.rows;
-    }
-    resident_valid_.assign(total, 1);
-    for (SpillPartition& part : parts_) {
-      if (part.spilled || part.rows == 0) continue;
-      part.table = std::make_unique<JoinHashTable>();
-      AGORA_RETURN_IF_ERROR(part.table->Build(
-          resident_hashes_.data() + part.base,
-          resident_valid_.data() + part.base, part.rows,
-          /*num_partitions=*/1, /*pool=*/nullptr));
-    }
-    if (!context_->memory->over_budget()) break;
-    size_t victim = PickVictim();
-    if (victim == SIZE_MAX) break;  // nothing left to shed; reloads decide
-    AGORA_RETURN_IF_ERROR(SpillResidentVictim(victim));
-    AGORA_RETURN_IF_ERROR(ReconcatResident());
-  }
-  for (const SpillPartition& part : parts_) {
-    if (part.table != nullptr) {
-      context_->stats.hash_table_entries += part.table->entries();
-      context_->stats.hash_table_slots += part.table->slot_count();
-    }
-  }
-
-  // Re-evaluate the build keys over the concatenation for batch match
-  // verification (expression evaluation is deterministic, so these equal
-  // the values hashed during the drain).
-  resident_keys_.resize(right_keys_.size());
-  for (size_t k = 0; k < right_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(
-        right_keys_[k]->Evaluate(resident_data_, &resident_keys_[k]));
-  }
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::SpillResidentVictim(size_t victim) {
-  SpillPartition& part = parts_[victim];
-  if (part.build_file == nullptr) {
-    AGORA_ASSIGN_OR_RETURN(part.build_file, context_->spill->Create());
-  }
-  std::vector<uint32_t> sel;
-  for (size_t start = 0; start < part.rows; start += kChunkSize) {
-    size_t n = std::min(kChunkSize, part.rows - start);
-    sel.resize(n);
-    std::iota(sel.begin(), sel.end(),
-              static_cast<uint32_t>(part.base + start));
-    Chunk pc;
-    GatherColumns(resident_data_, sel.data(), n, &pc);
-    ColumnVector hcol(TypeId::kInt64);
-    for (size_t i = 0; i < n; ++i) {
-      hcol.AppendInt64(
-          static_cast<int64_t>(resident_hashes_[part.base + start + i]));
-    }
-    pc.AddColumn(std::move(hcol));
-    AGORA_RETURN_IF_ERROR(
-        SpillWriteChunk(part.build_file.get(), pc, &context_->stats));
-  }
-  part.rows = 0;
-  part.spilled = true;
-  any_spilled_ = true;
-  context_->stats.spill_partitions++;
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::ReconcatResident() {
-  Chunk old = std::move(resident_data_);
-  std::vector<uint64_t> old_hashes = std::move(resident_hashes_);
-  resident_data_ = Chunk(right_->schema());
-  resident_hashes_.clear();
-  std::vector<uint32_t> sel;
-  size_t offset = 0;
-  for (SpillPartition& part : parts_) {
-    size_t old_base = part.base;
-    part.base = offset;
-    if (part.spilled || part.rows == 0) continue;
-    sel.resize(part.rows);
-    std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(old_base));
-    for (size_t c = 0; c < old.num_columns(); ++c) {
-      resident_data_.column(c).AppendGatherPadded(old.column(c), sel.data(),
-                                                  sel.size());
-    }
-    for (size_t i = 0; i < part.rows; ++i) {
-      resident_hashes_.push_back(old_hashes[old_base + i]);
-    }
-    offset += part.rows;
-  }
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::ProbePartitionedChunk(const Chunk& probe,
-                                               int64_t base_idx, Chunk* out,
-                                               ExecStats* stats) {
+Status PhysicalHashJoin::Probe(const Chunk& probe, size_t lcols,
+                               const int64_t* row_idx,
+                               std::vector<std::vector<uint32_t>>* divert,
+                               Chunk* out, ExecStats* stats) const {
   MetricSpan span = StatsSpan(stats, probe_phase_id_);
-  const size_t num_parts = parts_.size();
   size_t rows = probe.num_rows();
-  std::vector<ColumnVector> probe_keys(left_keys_.size());
-  for (size_t k = 0; k < left_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
-  }
-  std::vector<uint64_t> hashes(rows, kHashTableSalt);
-  std::vector<uint8_t> valid(rows, 1);
-  for (const ColumnVector& key : probe_keys) {
-    key.HashBatch(hashes.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/false);
-    const uint8_t* key_valid = key.validity_data();
-    for (size_t r = 0; r < rows; ++r) valid[r] &= key_valid[r];
-  }
-
-  // A probe row belongs to exactly one partition. Rows of spilled
-  // partitions divert to that partition's file for the deferred pass;
-  // everything else (including NULL-key rows, which pad immediately under
-  // LEFT OUTER) resolves against the resident tables right now.
-  const bool tagged = any_spilled_;
-  std::vector<std::vector<uint32_t>> divert(tagged ? num_parts : 0);
-  std::vector<uint8_t> diverted(rows, 0);
-  HashTableStats ht;
-  std::vector<uint32_t> pair_l, pair_b;
-  for (size_t r = 0; r < rows; ++r) {
-    if (valid[r] == 0) continue;
-    uint64_t h = hashes[r];
-    const SpillPartition& part = parts_[h % num_parts];
-    if (part.spilled) {
-      divert[h % num_parts].push_back(static_cast<uint32_t>(r));
-      diverted[r] = 1;
-      continue;
-    }
-    if (part.table == nullptr) continue;  // empty partition: no matches
-    stats->bloom_checked_rows++;
-    if (!part.table->bloom().MightContain(h)) {
-      stats->bloom_filtered_rows++;
-      continue;
-    }
-    for (uint32_t ref = part.table->Find(h, &ht); ref != 0;
-         ref = part.table->Next(ref)) {
-      stats->probe_calls++;
-      pair_l.push_back(static_cast<uint32_t>(r));
-      // Chain refs are partition-local; rebase into the concatenation.
-      pair_b.push_back(static_cast<uint32_t>(part.base) + ref - 1);
-    }
-  }
-  stats->hash_table_lookups += ht.lookups;
-  stats->hash_table_probe_steps += ht.probe_steps;
-
-  size_t m = pair_l.size();
-  std::vector<uint8_t> equal(m, 1);
-  for (size_t k = 0; k < probe_keys.size(); ++k) {
-    probe_keys[k].BatchEqualRows(pair_l.data(), resident_keys_[k],
-                                 pair_b.data(), m, /*bitwise_doubles=*/false,
-                                 equal.data());
-  }
-
-  // Emit survivors in probe-row order; diverted rows emit nothing here —
-  // their match/pad decision happens in the deferred pass.
-  std::vector<uint32_t> lsel, rsel;
-  size_t ptr = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    bool matched = false;
-    while (ptr < m && pair_l[ptr] == r) {
-      if (equal[ptr] != 0) {
-        lsel.push_back(static_cast<uint32_t>(r));
-        rsel.push_back(pair_b[ptr]);
-        matched = true;
-      }
-      ++ptr;
-    }
-    if (!matched && diverted[r] == 0 &&
-        kind_ == PhysicalJoinKind::kLeftOuter) {
-      lsel.push_back(static_cast<uint32_t>(r));
-      rsel.push_back(UINT32_MAX);
-    }
-  }
-
-  Chunk result(schema_);
-  if (!lsel.empty()) {
-    size_t lcols = probe.num_columns();
-    for (size_t c = 0; c < lcols; ++c) {
-      result.column(c).AppendGatherPadded(probe.column(c), lsel.data(),
-                                          lsel.size());
-    }
-    for (size_t c = 0; c < resident_data_.num_columns(); ++c) {
-      result.column(lcols + c).AppendGatherPadded(resident_data_.column(c),
-                                                  rsel.data(), rsel.size());
-    }
-    if (tagged) {
-      // Trailing bookkeeping column: the global probe-row index, used by
-      // the k-way merge and stripped before emission.
-      ColumnVector idx(TypeId::kInt64);
-      for (uint32_t r : lsel) idx.AppendInt64(base_idx + r);
-      result.AddColumn(std::move(idx));
-    }
-  }
-  if (residual_ != nullptr && result.num_rows() > 0 &&
-      kind_ != PhysicalJoinKind::kLeftOuter) {
-    AGORA_ASSIGN_OR_RETURN(result, FilterChunk(result, *residual_, stats));
-  }
-  stats->rows_joined += static_cast<int64_t>(result.num_rows());
-  span.AddRows(static_cast<int64_t>(result.num_rows()));
-
-  if (tagged) {
-    for (size_t p = 0; p < num_parts; ++p) {
-      if (divert[p].empty()) continue;
-      SpillPartition& part = parts_[p];
-      if (part.probe_file == nullptr) {
-        AGORA_ASSIGN_OR_RETURN(part.probe_file, context_->spill->Create());
-      }
-      Chunk pc;
-      GatherColumns(probe, divert[p].data(), divert[p].size(), &pc);
-      ColumnVector idx(TypeId::kInt64);
-      for (uint32_t r : divert[p]) idx.AppendInt64(base_idx + r);
-      pc.AddColumn(std::move(idx));
-      AGORA_RETURN_IF_ERROR(
-          SpillWriteChunk(part.probe_file.get(), pc, stats));
-    }
-  }
-  *out = std::move(result);
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::DrainProbeToStreams() {
-  AGORA_ASSIGN_OR_RETURN(immediate_file_, context_->spill->Create());
-  int64_t base_idx = 0;
-  bool done = false;
-  while (!done) {
-    Chunk probe;
-    AGORA_RETURN_IF_ERROR(left_->Next(&probe, &done));
-    size_t rows = probe.num_rows();
-    if (rows == 0) continue;
-    Chunk out;
-    AGORA_RETURN_IF_ERROR(
-        ProbePartitionedChunk(probe, base_idx, &out, &context_->stats));
-    if (out.num_rows() > 0) {
-      AGORA_RETURN_IF_ERROR(
-          SpillWriteChunk(immediate_file_.get(), out, &context_->stats));
-    }
-    base_idx += static_cast<int64_t>(rows);
-  }
-  probe_done_ = true;
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
-  // Reload the partition's build rows. A partition that still cannot fit
-  // alone is the graceful-failure point of the whole scheme: the query
-  // errors with ResourceExhausted instead of thrashing or aborting.
-  Chunk data(right_->schema());
+  std::vector<ColumnVector> probe_keys;
   std::vector<uint64_t> hashes;
-  std::vector<uint32_t> iota;
-  const size_t ncols = data.num_columns();
-  {
-    MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
-    AGORA_RETURN_IF_ERROR(part->build_file->Rewind());
-    for (;;) {
-      Chunk pc;
-      bool eof = false;
-      AGORA_RETURN_IF_ERROR(SpillReadChunk(part->build_file.get(), &pc, &eof,
-                                           &context_->stats));
-      if (eof) break;
-      size_t n = pc.num_rows();
-      iota.resize(n);
-      std::iota(iota.begin(), iota.end(), 0u);
-      for (size_t c = 0; c < ncols; ++c) {
-        data.column(c).AppendGatherPadded(pc.column(c), iota.data(), n);
-      }
-      const int64_t* h = pc.column(ncols).int64_data();
-      for (size_t i = 0; i < n; ++i) {
-        hashes.push_back(static_cast<uint64_t>(h[i]));
-      }
-    }
-    context_->spill->Recycle(std::move(part->build_file));
-    AGORA_RETURN_IF_ERROR(
-        context_->CheckMemoryBudget("HashJoin::spill-reload"));
-  }
-
-  std::vector<ColumnVector> keys(right_keys_.size());
-  for (size_t k = 0; k < right_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(right_keys_[k]->Evaluate(data, &keys[k]));
-  }
-  size_t build_rows = data.num_rows();
-  std::vector<uint8_t> build_valid(build_rows, 1);
-  JoinHashTable table;
-  {
-    MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
-    AGORA_RETURN_IF_ERROR(table.Build(hashes.data(), build_valid.data(),
-                                      build_rows, /*num_partitions=*/1,
-                                      /*pool=*/nullptr));
-    context_->stats.hash_table_entries += table.entries();
-    context_->stats.hash_table_slots += table.slot_count();
-  }
-  if (part->probe_file == nullptr) return Status::OK();  // nothing diverted
-
-  // Probe the diverted rows in file order (= ascending global index).
-  MetricSpan span = StatsSpan(&context_->stats, probe_phase_id_);
-  AGORA_RETURN_IF_ERROR(part->probe_file->Rewind());
-  AGORA_ASSIGN_OR_RETURN(part->out_file, context_->spill->Create());
-  for (;;) {
-    Chunk pc;
-    bool eof = false;
-    AGORA_RETURN_IF_ERROR(SpillReadChunk(part->probe_file.get(), &pc, &eof,
-                                         &context_->stats));
-    if (eof) break;
-    size_t rows = pc.num_rows();
-    size_t lcols = pc.num_columns() - 1;  // trailing index column
-    std::vector<ColumnVector> probe_keys(left_keys_.size());
-    for (size_t k = 0; k < left_keys_.size(); ++k) {
-      AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(pc, &probe_keys[k]));
-    }
-    std::vector<uint64_t> phashes(rows, kHashTableSalt);
-    for (const ColumnVector& key : probe_keys) {
-      key.HashBatch(phashes.data(), rows, /*combine=*/true,
-                    /*normalize_zero=*/false);
-    }
-    HashTableStats ht;
-    std::vector<uint32_t> pair_l, pair_b;
-    for (size_t r = 0; r < rows; ++r) {
-      // Only valid-key rows were diverted, so no validity re-check.
-      uint64_t h = phashes[r];
-      context_->stats.bloom_checked_rows++;
-      if (!table.bloom().MightContain(h)) {
-        context_->stats.bloom_filtered_rows++;
-        continue;
-      }
-      for (uint32_t ref = table.Find(h, &ht); ref != 0;
-           ref = table.Next(ref)) {
-        context_->stats.probe_calls++;
-        pair_l.push_back(static_cast<uint32_t>(r));
-        pair_b.push_back(ref - 1);
-      }
-    }
-    context_->stats.hash_table_lookups += ht.lookups;
-    context_->stats.hash_table_probe_steps += ht.probe_steps;
-
-    size_t m = pair_l.size();
-    std::vector<uint8_t> equal(m, 1);
-    for (size_t k = 0; k < probe_keys.size(); ++k) {
-      probe_keys[k].BatchEqualRows(pair_l.data(), keys[k], pair_b.data(), m,
-                                   /*bitwise_doubles=*/false, equal.data());
-    }
-    std::vector<uint32_t> lsel, rsel;
-    size_t ptr = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      bool matched = false;
-      while (ptr < m && pair_l[ptr] == r) {
-        if (equal[ptr] != 0) {
-          lsel.push_back(static_cast<uint32_t>(r));
-          rsel.push_back(pair_b[ptr]);
-          matched = true;
-        }
-        ++ptr;
-      }
-      if (!matched && kind_ == PhysicalJoinKind::kLeftOuter) {
-        lsel.push_back(static_cast<uint32_t>(r));
-        rsel.push_back(UINT32_MAX);
-      }
-    }
-    Chunk result(schema_);
-    if (!lsel.empty()) {
-      for (size_t c = 0; c < lcols; ++c) {
-        result.column(c).AppendGatherPadded(pc.column(c), lsel.data(),
-                                            lsel.size());
-      }
-      for (size_t c = 0; c < data.num_columns(); ++c) {
-        result.column(lcols + c).AppendGatherPadded(data.column(c),
-                                                    rsel.data(), rsel.size());
-      }
-      ColumnVector idx(TypeId::kInt64);
-      const int64_t* src_idx = pc.column(lcols).int64_data();
-      for (uint32_t r : lsel) idx.AppendInt64(src_idx[r]);
-      result.AddColumn(std::move(idx));
-    }
-    if (residual_ != nullptr && result.num_rows() > 0 &&
-        kind_ != PhysicalJoinKind::kLeftOuter) {
-      AGORA_ASSIGN_OR_RETURN(
-          result, FilterChunk(result, *residual_, &context_->stats));
-    }
-    context_->stats.rows_joined += static_cast<int64_t>(result.num_rows());
-    span.AddRows(static_cast<int64_t>(result.num_rows()));
-    if (result.num_rows() > 0) {
-      AGORA_RETURN_IF_ERROR(
-          SpillWriteChunk(part->out_file.get(), result, &context_->stats));
-    }
-  }
-  context_->spill->Recycle(std::move(part->probe_file));
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::AdvanceStream(MergeStream* s) {
-  while (!s->exhausted && s->row >= s->chunk.num_rows()) {
-    s->row = 0;
-    Chunk next;
-    bool eof = false;
-    AGORA_RETURN_IF_ERROR(
-        SpillReadChunk(s->file, &next, &eof, &context_->stats));
-    if (eof) {
-      s->exhausted = true;
-      s->chunk = Chunk();
-    } else {
-      s->chunk = std::move(next);
-    }
-  }
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::EmitMerged(Chunk* chunk, bool* done) {
-  const size_t ncols = schema_.num_fields();
-  Chunk out(schema_);
-  std::vector<uint32_t> sel;
-  while (out.num_rows() < kChunkSize) {
-    // Find the stream with the smallest head index (indices are disjoint
-    // across streams, so ties cannot happen) and the runner-up bound.
-    size_t best = SIZE_MAX;
-    int64_t best_idx = 0;
-    int64_t second = INT64_MAX;
-    for (size_t i = 0; i < merge_.size(); ++i) {
-      MergeStream& s = merge_[i];
-      if (s.exhausted) continue;
-      int64_t idx = s.chunk.column(ncols).GetInt64(s.row);
-      if (best == SIZE_MAX) {
-        best = i;
-        best_idx = idx;
-      } else if (idx < best_idx) {
-        second = best_idx;
-        best = i;
-        best_idx = idx;
-      } else if (idx < second) {
-        second = idx;
-      }
-    }
-    if (best == SIZE_MAX) break;  // every stream exhausted
-    MergeStream& s = merge_[best];
-    // Take the longest run from this stream that stays below every other
-    // head and fits the output chunk, then gather it in one batch.
-    const int64_t* idxs = s.chunk.column(ncols).int64_data();
-    size_t room = kChunkSize - out.num_rows();
-    size_t end = s.row + 1;
-    while (end < s.chunk.num_rows() && idxs[end] < second &&
-           end - s.row < room) {
-      ++end;
-    }
-    sel.resize(end - s.row);
-    std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(s.row));
-    for (size_t c = 0; c < ncols; ++c) {
-      out.column(c).AppendGatherPadded(s.chunk.column(c), sel.data(),
-                                       sel.size());
-    }
-    s.row = end;
-    AGORA_RETURN_IF_ERROR(AdvanceStream(&s));
-  }
-
-  bool drained = true;
-  for (const MergeStream& s : merge_) drained &= s.exhausted;
-  if (drained) {
-    // Hand every stream's file back for reuse by later operators.
-    merge_.clear();
-    if (immediate_file_ != nullptr) {
-      context_->spill->Recycle(std::move(immediate_file_));
-    }
-    for (SpillPartition& part : parts_) {
-      if (part.out_file != nullptr) {
-        context_->spill->Recycle(std::move(part.out_file));
-      }
-    }
-  }
-  *chunk = std::move(out);
-  *done = drained;
-  return Status::OK();
-}
-
-Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
-                                    ExecStats* stats) const {
-  MetricSpan span = StatsSpan(stats, probe_phase_id_);
-  size_t rows = probe.num_rows();
-  // Evaluate probe keys for the whole chunk, then hash column-at-a-time.
-  std::vector<ColumnVector> probe_keys(left_keys_.size());
-  for (size_t k = 0; k < left_keys_.size(); ++k) {
-    AGORA_RETURN_IF_ERROR(left_keys_[k]->Evaluate(probe, &probe_keys[k]));
-  }
-  std::vector<uint64_t> hashes(rows, kHashTableSalt);
-  std::vector<uint8_t> valid(rows, 1);
-  for (const ColumnVector& key : probe_keys) {
-    key.HashBatch(hashes.data(), rows, /*combine=*/true,
-                  /*normalize_zero=*/false);
-    const uint8_t* key_valid = key.validity_data();
-    for (size_t r = 0; r < rows; ++r) valid[r] &= key_valid[r];
-  }
+  std::vector<uint8_t> valid;
+  AGORA_RETURN_IF_ERROR(
+      HashKeys(left_keys_, probe, &probe_keys, &hashes, &valid));
 
   // Gather candidate (probe row, build row) pairs: Bloom filter first,
   // then the hash-chain walk. Pairs are grouped by probe row in row
-  // order, with chains in ascending build-row order.
+  // order, with chains in ascending build-row order. A diverted row is
+  // neither matched nor padded here; its partition's deferred pass does
+  // both.
+  std::vector<uint8_t> pad(rows, kind_ == PhysicalJoinKind::kLeftOuter);
   HashTableStats ht;
   std::vector<uint32_t> pair_l, pair_b;
   for (size_t r = 0; r < rows; ++r) {
     if (valid[r] == 0) continue;
-    stats->bloom_checked_rows++;
     uint64_t h = hashes[r];
-    if (!table_.bloom().MightContain(h)) {
+    if (divert != nullptr && parts_[h % parts_.size()].spilled) {
+      (*divert)[h % parts_.size()].push_back(static_cast<uint32_t>(r));
+      pad[r] = 0;
+      continue;
+    }
+    stats->bloom_checked_rows++;
+    if (!table_->bloom().MightContain(h)) {
       stats->bloom_filtered_rows++;
       continue;
     }
-    for (uint32_t ref = table_.Find(h, &ht); ref != 0;
-         ref = table_.Next(ref)) {
+    for (uint32_t ref = table_->Find(h, &ht); ref != 0;
+         ref = table_->Next(ref)) {
       stats->probe_calls++;
       pair_l.push_back(static_cast<uint32_t>(r));
       pair_b.push_back(ref - 1);
@@ -843,15 +213,15 @@ Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
       }
       ++ptr;
     }
-    if (!matched && kind_ == PhysicalJoinKind::kLeftOuter) {
+    if (!matched && pad[r] != 0) {
       lsel.push_back(static_cast<uint32_t>(r));
       rsel.push_back(UINT32_MAX);
     }
   }
 
   Chunk result(schema_);
+  result.set_morsel(probe.morsel());
   if (!lsel.empty()) {
-    size_t lcols = probe.num_columns();
     for (size_t c = 0; c < lcols; ++c) {
       result.column(c).AppendGatherPadded(probe.column(c), lsel.data(),
                                           lsel.size());
@@ -860,8 +230,12 @@ Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
       result.column(lcols + c).AppendGatherPadded(build_data_.column(c),
                                                   rsel.data(), rsel.size());
     }
+    if (row_idx != nullptr) {
+      ColumnVector idx(TypeId::kInt64);
+      for (uint32_t r : lsel) idx.AppendInt64(row_idx[r]);
+      result.AddColumn(std::move(idx));
+    }
   }
-
   if (residual_ != nullptr && result.num_rows() > 0 &&
       kind_ != PhysicalJoinKind::kLeftOuter) {
     AGORA_ASSIGN_OR_RETURN(result, FilterChunk(result, *residual_, stats));
@@ -872,23 +246,339 @@ Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
   return Status::OK();
 }
 
+Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
+                                    ExecStats* stats) const {
+  return Probe(probe, probe.num_columns(), /*row_idx=*/nullptr,
+               /*divert=*/nullptr, out, stats);
+}
+
+Status PhysicalHashJoin::OpenSpill() {
+  any_spilled_ = false;
+  parts_.clear();
+  merge_.Clear();
+  morsel_starts_.clear();
+  immediate_file_.reset();
+
+  AGORA_RETURN_IF_ERROR(left_->Open());
+  const size_t num_parts = std::max<size_t>(1, context_->spill_partitions);
+  parts_.resize(num_parts);
+
+  // Serial build drain: rows land in their hash partition's buffer (or
+  // go straight to its file once the partition has spilled). Shedding
+  // decisions happen at chunk granularity and only affect *where* rows
+  // wait, never what the join produces.
+  {
+    MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
+    AGORA_RETURN_IF_ERROR(right_->Open());
+    std::vector<ColumnVector> keys;
+    std::vector<uint64_t> hashes;
+    std::vector<uint8_t> valid;
+    std::vector<std::vector<uint32_t>> psel(num_parts);
+    bool done = false;
+    while (!done) {
+      Chunk chunk;
+      AGORA_RETURN_IF_ERROR(right_->Next(&chunk, &done));
+      size_t rows = chunk.num_rows();
+      if (rows == 0) continue;
+      context_->stats.bytes_materialized +=
+          static_cast<int64_t>(chunk.MemoryBytes());
+      AGORA_RETURN_IF_ERROR(
+          HashKeys(right_keys_, chunk, &keys, &hashes, &valid));
+      // NULL-key build rows can never match and the probe side supplies
+      // all outer-join padding, so they are dropped here — same net
+      // effect as the in-memory table, which skips them at insert time.
+      for (std::vector<uint32_t>& sel : psel) sel.clear();
+      for (size_t r = 0; r < rows; ++r) {
+        if (valid[r] != 0) {
+          psel[hashes[r] % num_parts].push_back(static_cast<uint32_t>(r));
+        }
+      }
+      for (size_t p = 0; p < num_parts; ++p) {
+        if (psel[p].empty()) continue;
+        SpillPartition& part = parts_[p];
+        Chunk pc = GatherColumns(chunk, psel[p].data(), psel[p].size());
+        if (part.spilled) {
+          AGORA_RETURN_IF_ERROR(
+              SpillWriteChunk(part.build_file.get(), pc, &context_->stats));
+        } else {
+          part.rows += psel[p].size();
+          part.buffered.push_back(std::move(pc));
+        }
+      }
+      while (context_->memory->over_budget() && PickVictim() != SIZE_MAX) {
+        AGORA_RETURN_IF_ERROR(SpillBufferedVictim());
+      }
+    }
+    AGORA_RETURN_IF_ERROR(PrepareResident());
+  }
+  if (!any_spilled_) return Status::OK();  // NextImpl streams the probe
+
+  // Some partitions went to disk: drain the probe side now, spooling
+  // index-tagged output, then join each spilled partition from its files.
+  AGORA_RETURN_IF_ERROR(DrainProbeToStreams());
+  for (SpillPartition& part : parts_) {
+    if (part.spilled) {
+      AGORA_RETURN_IF_ERROR(ProcessDeferredPartition(&part));
+    }
+  }
+  ReleaseBuild();  // the merge below needs no build rows
+
+  // Arm the k-way merge: one stream for the immediate output plus one per
+  // spilled partition. Probe-row indices are disjoint across streams and
+  // ascending within each, so the merge restores global probe order.
+  AGORA_RETURN_IF_ERROR(
+      merge_.AddFile(immediate_file_.get(), &context_->stats));
+  for (SpillPartition& part : parts_) {
+    if (part.out_file != nullptr) {
+      AGORA_RETURN_IF_ERROR(
+          merge_.AddFile(part.out_file.get(), &context_->stats));
+    }
+  }
+  return Status::OK();
+}
+
+size_t PhysicalHashJoin::PickVictim() const {
+  size_t victim = SIZE_MAX;
+  size_t best_rows = 0;
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    const SpillPartition& part = parts_[p];
+    if (!part.spilled && part.rows > best_rows) {
+      victim = p;
+      best_rows = part.rows;
+    }
+  }
+  return victim;
+}
+
+Status PhysicalHashJoin::SpillBufferedVictim() {
+  size_t victim = PickVictim();
+  AGORA_CHECK(victim != SIZE_MAX);
+  SpillPartition& part = parts_[victim];
+  if (part.build_file == nullptr) {
+    AGORA_ASSIGN_OR_RETURN(part.build_file, context_->spill->Create());
+  }
+  for (const Chunk& pc : part.buffered) {
+    AGORA_RETURN_IF_ERROR(
+        SpillWriteChunk(part.build_file.get(), pc, &context_->stats));
+  }
+  std::vector<Chunk>().swap(part.buffered);
+  part.rows = 0;
+  part.spilled = true;
+  any_spilled_ = true;
+  context_->stats.spill_partitions++;
+  return Status::OK();
+}
+
+Status PhysicalHashJoin::PrepareResident() {
+  // Move the buffered partitions into one concatenation, freeing each
+  // buffer chunk as it lands. Partition order + arrival order makes the
+  // layout deterministic for a given shed history. Rows of one key hash
+  // share a partition, so every chain keeps arrival order — the order the
+  // in-memory table gives the same rows.
+  build_data_ = Chunk(right_->schema());
+  size_t offset = 0;
+  for (SpillPartition& part : parts_) {
+    part.base = offset;
+    for (Chunk& pc : part.buffered) {
+      AppendChunk(pc, &build_data_);
+      pc = Chunk();  // free as we go
+    }
+    std::vector<Chunk>().swap(part.buffered);
+    offset += part.rows;
+  }
+
+  // Build the table over the resident rows. If it pushes the query back
+  // over budget, shed the largest partition and rebuild — at most P
+  // rounds.
+  for (;;) {
+    AGORA_RETURN_IF_ERROR(BuildTable());
+    if (!context_->memory->over_budget()) break;
+    size_t victim = PickVictim();
+    if (victim == SIZE_MAX) break;  // nothing left to shed; reloads decide
+    AGORA_RETURN_IF_ERROR(SpillResidentVictim(victim));
+    ReconcatResident();
+  }
+  CountTable();
+  return Status::OK();
+}
+
+Status PhysicalHashJoin::SpillResidentVictim(size_t victim) {
+  SpillPartition& part = parts_[victim];
+  if (part.build_file == nullptr) {
+    AGORA_ASSIGN_OR_RETURN(part.build_file, context_->spill->Create());
+  }
+  std::vector<uint32_t> sel;
+  for (size_t start = 0; start < part.rows; start += kChunkSize) {
+    size_t n = std::min(kChunkSize, part.rows - start);
+    sel.resize(n);
+    std::iota(sel.begin(), sel.end(),
+              static_cast<uint32_t>(part.base + start));
+    AGORA_RETURN_IF_ERROR(
+        SpillWriteChunk(part.build_file.get(),
+                        GatherColumns(build_data_, sel.data(), n),
+                        &context_->stats));
+  }
+  part.rows = 0;
+  part.spilled = true;
+  any_spilled_ = true;
+  context_->stats.spill_partitions++;
+  return Status::OK();
+}
+
+void PhysicalHashJoin::ReconcatResident() {
+  // The table, keys and hashes index the old layout: drop them first, then
+  // gather one column at a time, freeing each old column as it goes, so
+  // the reconcat needs one column of headroom rather than a second copy.
+  Chunk old = std::move(build_data_);
+  ReleaseBuild();
+  std::vector<uint32_t> sel;
+  for (SpillPartition& part : parts_) {
+    size_t old_base = part.base;
+    part.base = sel.size();
+    for (size_t i = 0; i < part.rows; ++i) {
+      sel.push_back(static_cast<uint32_t>(old_base + i));
+    }
+  }
+  for (size_t c = 0; c < old.num_columns(); ++c) {
+    build_data_.AddColumn(old.column(c).Gather(sel));
+    old.column(c) = ColumnVector();
+  }
+}
+
+Status PhysicalHashJoin::DrainProbeToStreams() {
+  AGORA_ASSIGN_OR_RETURN(immediate_file_, context_->spill->Create());
+  std::vector<std::vector<uint32_t>> divert(parts_.size());
+  std::vector<int64_t> row_idx;
+  int64_t base_idx = 0;
+  bool done = false;
+  while (!done) {
+    Chunk probe;
+    AGORA_RETURN_IF_ERROR(left_->Next(&probe, &done));
+    size_t rows = probe.num_rows();
+    if (rows == 0) continue;
+    if (morsel_starts_.empty() ||
+        morsel_starts_.back().second != probe.morsel()) {
+      morsel_starts_.emplace_back(base_idx, probe.morsel());
+    }
+    row_idx.resize(rows);
+    std::iota(row_idx.begin(), row_idx.end(), base_idx);
+    for (std::vector<uint32_t>& sel : divert) sel.clear();
+    Chunk out;
+    AGORA_RETURN_IF_ERROR(Probe(probe, probe.num_columns(), row_idx.data(),
+                                &divert, &out, &context_->stats));
+    if (out.num_rows() > 0) {
+      AGORA_RETURN_IF_ERROR(
+          SpillWriteChunk(immediate_file_.get(), out, &context_->stats));
+    }
+    for (size_t p = 0; p < parts_.size(); ++p) {
+      if (divert[p].empty()) continue;
+      SpillPartition& part = parts_[p];
+      if (part.probe_file == nullptr) {
+        AGORA_ASSIGN_OR_RETURN(part.probe_file, context_->spill->Create());
+      }
+      Chunk pc = GatherColumns(probe, divert[p].data(), divert[p].size());
+      ColumnVector idx(TypeId::kInt64);
+      for (uint32_t r : divert[p]) idx.AppendInt64(base_idx + r);
+      pc.AddColumn(std::move(idx));
+      AGORA_RETURN_IF_ERROR(
+          SpillWriteChunk(part.probe_file.get(), pc, &context_->stats));
+    }
+    base_idx += static_cast<int64_t>(rows);
+  }
+  probe_done_ = true;
+  return Status::OK();
+}
+
+Status PhysicalHashJoin::ProcessDeferredPartition(SpillPartition* part) {
+  // Reload the partition's build rows in place of the previous build
+  // state. A partition that still cannot fit alone is the graceful-
+  // failure point of the whole scheme: the query errors with
+  // ResourceExhausted instead of thrashing or aborting.
+  {
+    MetricSpan span = StatsSpan(&context_->stats, build_phase_id_);
+    ReleaseBuild();
+    build_data_ = Chunk(right_->schema());
+    AGORA_RETURN_IF_ERROR(part->build_file->Rewind());
+    for (;;) {
+      Chunk pc;
+      bool eof = false;
+      AGORA_RETURN_IF_ERROR(SpillReadChunk(part->build_file.get(), &pc, &eof,
+                                           &context_->stats));
+      if (eof) break;
+      AppendChunk(pc, &build_data_);
+    }
+    context_->spill->Recycle(std::move(part->build_file));
+    AGORA_RETURN_IF_ERROR(
+        context_->CheckMemoryBudget("HashJoin::spill-reload"));
+    AGORA_RETURN_IF_ERROR(BuildTable());
+    CountTable();
+  }
+  if (part->probe_file == nullptr) return Status::OK();  // nothing diverted
+
+  // Probe the diverted rows in file order (= ascending global index); the
+  // trailing index column rides along into the output.
+  AGORA_RETURN_IF_ERROR(part->probe_file->Rewind());
+  AGORA_ASSIGN_OR_RETURN(part->out_file, context_->spill->Create());
+  for (;;) {
+    Chunk pc;
+    bool eof = false;
+    AGORA_RETURN_IF_ERROR(SpillReadChunk(part->probe_file.get(), &pc, &eof,
+                                         &context_->stats));
+    if (eof) break;
+    size_t lcols = pc.num_columns() - 1;
+    Chunk out;
+    AGORA_RETURN_IF_ERROR(Probe(pc, lcols, pc.column(lcols).int64_data(),
+                                /*divert=*/nullptr, &out, &context_->stats));
+    if (out.num_rows() > 0) {
+      AGORA_RETURN_IF_ERROR(
+          SpillWriteChunk(part->out_file.get(), out, &context_->stats));
+    }
+  }
+  context_->spill->Recycle(std::move(part->probe_file));
+  return Status::OK();
+}
+
+Status PhysicalHashJoin::EmitMerged(Chunk* chunk, bool* done) {
+  // Each output chunk stays inside one probe morsel and carries its index,
+  // like the chunks of a streamed probe.
+  Chunk out(schema_);
+  auto next = std::upper_bound(
+      morsel_starts_.begin(), morsel_starts_.end(), merge_.head(),
+      [](int64_t idx, const std::pair<int64_t, size_t>& start) {
+        return idx < start.first;
+      });
+  if (next != morsel_starts_.begin()) out.set_morsel(std::prev(next)->second);
+  int64_t bound = next == morsel_starts_.end() ? INT64_MAX : next->first;
+  AGORA_RETURN_IF_ERROR(merge_.Next(bound, &out, &context_->stats));
+
+  *done = merge_.done();
+  if (*done) {
+    // Hand every stream's file back for reuse by later operators.
+    merge_.Clear();
+    if (immediate_file_ != nullptr) {
+      context_->spill->Recycle(std::move(immediate_file_));
+    }
+    for (SpillPartition& part : parts_) {
+      if (part.out_file != nullptr) {
+        context_->spill->Recycle(std::move(part.out_file));
+      }
+    }
+  }
+  *chunk = std::move(out);
+  return Status::OK();
+}
+
 Status PhysicalHashJoin::NextImpl(Chunk* chunk, bool* done) {
   // With spilled partitions the probe already ran during Open(); emit the
-  // k-way merge of the spooled streams. Otherwise stream the probe side —
-  // against the partitioned resident tables in budgeted mode, the single
-  // table in normal mode.
+  // k-way merge of the spooled streams. Otherwise stream the probe side
+  // against the one table (all resident partitions under a budget).
   if (spill_mode_ && any_spilled_) return EmitMerged(chunk, done);
   while (!probe_done_) {
     Chunk probe;
     AGORA_RETURN_IF_ERROR(left_->Next(&probe, &probe_done_));
     if (probe.num_rows() == 0) continue;
     Chunk out;
-    if (spill_mode_) {
-      AGORA_RETURN_IF_ERROR(
-          ProbePartitionedChunk(probe, 0, &out, &context_->stats));
-    } else {
-      AGORA_RETURN_IF_ERROR(ProbeChunk(probe, &out, &context_->stats));
-    }
+    AGORA_RETURN_IF_ERROR(ProbeChunk(probe, &out, &context_->stats));
     if (out.num_rows() == 0) continue;
     *chunk = std::move(out);
     *done = probe_done_;

@@ -2,10 +2,12 @@
 #define AGORA_EXEC_JOIN_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "exec/hash_table.h"
 #include "exec/physical_op.h"
+#include "exec/spill_util.h"
 #include "expr/expr.h"
 #include "storage/spill.h"
 
@@ -23,11 +25,13 @@ enum class PhysicalJoinKind { kInner, kLeftOuter, kCross };
 /// the P partition directories are filled by parallel workers, each
 /// owning its partition outright. Chains iterate in ascending build-row
 /// order, so probe output is identical for every partition and worker
-/// count. Probing is read-only after Open(), exposed per-chunk via
-/// ProbeChunk() so the morsel pipeline can run probes on any worker; a
-/// build-side Bloom filter rejects most matchless probe rows before they
-/// touch the slot directory. Build and probe book their self time into
-/// separate phase slots (EXPLAIN ANALYZE shows HashJoin::build/::probe).
+/// count. One probe kernel serves every path: the serial Next() loop, the
+/// morsel pipeline's workers (via ProbeChunk()), and both passes of the
+/// budgeted path. A build-side Bloom filter rejects most matchless probe
+/// rows before they touch the slot directory. Build and probe book their
+/// self time into separate phase slots (EXPLAIN ANALYZE shows
+/// HashJoin::build/::probe). Output chunks carry the morsel index of the
+/// probe rows they came from (Chunk::morsel()).
 class PhysicalHashJoin : public PhysicalOperator {
  public:
   /// `left_keys[i]` (over the left schema) must equal `right_keys[i]`
@@ -44,6 +48,7 @@ class PhysicalHashJoin : public PhysicalOperator {
   std::vector<const PhysicalOperator*> children() const override {
     return {left_.get(), right_.get()};
   }
+  bool carries_morsel() const override { return true; }
 
   /// Joins one probe chunk against the built table. Thread-safe once
   /// Open() returned; used by both the serial Next() loop and parallel
@@ -63,43 +68,49 @@ class PhysicalHashJoin : public PhysicalOperator {
   }
 
  private:
-  /// Evaluates build keys, precomputes row hashes, and fills the
-  /// partitioned table (in parallel when a pool is available).
+  /// Evaluates the build keys over `build_data_`, hashes them, and builds
+  /// `table_` (in parallel when a pool is available).
   Status BuildTable();
+  /// Adds the final table's entries and slots to the query stats (once per
+  /// table, not per shed-and-rebuild round).
+  void CountTable();
+  /// Frees the build rows, keys and table.
+  void ReleaseBuild();
+
+  /// The probe kernel: hash, Bloom check, chain walk, key verification,
+  /// survivor and outer-join pad emission, residual filter. Columns
+  /// [0, lcols) of `probe` are the probe row. With `row_idx`, the output
+  /// gets a trailing int64 column holding row_idx[r] for each emitted probe
+  /// row r. With `divert`, rows whose hash falls in a spilled partition
+  /// (parts_[h % P]) go to (*divert)[h % P] and emit nothing here.
+  Status Probe(const Chunk& probe, size_t lcols, const int64_t* row_idx,
+               std::vector<std::vector<uint32_t>>* divert, Chunk* out,
+               ExecStats* stats) const;
 
   // --- budgeted (spill-capable) execution -------------------------------
   //
   // Build rows are partitioned by `hash % P`; when the query tracker
   // crosses its budget the largest resident partition is written to a
-  // temp file. Probe rows of spilled partitions divert to per-partition
-  // files tagged with their global probe-row index; everything else joins
-  // immediately into a spooled "immediate" stream. Each spilled partition
-  // is then reloaded alone, probed from its file, and its output spooled.
-  // NextImpl k-way-merges the streams by probe-row index, which restores
-  // exactly the order the in-memory path emits — output is byte-identical
-  // regardless of which partitions spilled. See DESIGN.md.
+  // temp file. The resident partitions then form one build table. Probe
+  // rows of spilled partitions divert to per-partition files tagged with
+  // their global probe-row index; everything else joins immediately into
+  // a spooled "immediate" stream. Each spilled partition is then reloaded
+  // alone, probed from its file, and its output spooled. NextImpl k-way-
+  // merges the streams by probe-row index, which restores exactly the
+  // order the in-memory path emits — output is byte-identical regardless
+  // of which partitions spilled. See DESIGN.md.
 
   /// One hash partition of the build side. While resident, rows sit in
-  /// `buffered` chunks (right columns + a trailing int64 hash column);
-  /// once spilled they live in `build_file` in the same layout.
+  /// `buffered` chunks and then in rows [base, base + rows) of
+  /// `build_data_`; once spilled they live in `build_file`.
   struct SpillPartition {
     std::vector<Chunk> buffered;
-    size_t rows = 0;        // resident row count (0 once spilled)
-    size_t bytes = 0;       // resident bytes while buffered
-    size_t base = 0;        // offset into the resident concatenation
+    size_t rows = 0;  // resident row count (0 once spilled)
+    size_t base = 0;  // offset into the resident concatenation
     bool spilled = false;
-    std::unique_ptr<JoinHashTable> table;  // resident partitions only
     std::unique_ptr<SpillFile> build_file;
     std::unique_ptr<SpillFile> probe_file;  // diverted probe rows (+index)
     std::unique_ptr<SpillFile> out_file;    // deferred join output (+index)
-  };
-
-  /// Cursor over one spooled output stream during the k-way merge.
-  struct MergeStream {
-    SpillFile* file = nullptr;
-    Chunk chunk;
-    size_t row = 0;
-    bool exhausted = false;
   };
 
   Status OpenSpill();
@@ -107,30 +118,23 @@ class PhysicalHashJoin : public PhysicalOperator {
   size_t PickVictim() const;
   /// Drain-phase shedding: flushes the victim's buffered chunks to disk.
   Status SpillBufferedVictim();
-  /// Concatenates resident partitions, sheds further victims while over
-  /// budget, and builds one hash table per surviving partition.
+  /// Concatenates resident partitions into `build_data_`, sheds further
+  /// victims while over budget, and builds the table over the rest.
   Status PrepareResident();
   Status SpillResidentVictim(size_t victim);
-  Status ReconcatResident();
-  /// Probes one chunk against the resident partition tables. With spilled
-  /// partitions present, appends a global-row-index column to `*out` and
-  /// diverts rows of spilled partitions to their probe files.
-  Status ProbePartitionedChunk(const Chunk& probe, int64_t base_idx,
-                               Chunk* out, ExecStats* stats);
+  void ReconcatResident();
   Status DrainProbeToStreams();
   Status ProcessDeferredPartition(SpillPartition* part);
-  Status AdvanceStream(MergeStream* s);
   Status EmitMerged(Chunk* chunk, bool* done);
 
   bool spill_mode_ = false;
   bool any_spilled_ = false;
   std::vector<SpillPartition> parts_;
-  Chunk resident_data_;  // concatenation of resident partitions
-  std::vector<ColumnVector> resident_keys_;
-  std::vector<uint64_t> resident_hashes_;
-  std::vector<uint8_t> resident_valid_;  // all ones (NULL keys dropped)
   std::unique_ptr<SpillFile> immediate_file_;
-  std::vector<MergeStream> merge_;
+  SpillMerge merge_;
+  /// (probe-row index, morsel) at each change of the probe chunks' morsel
+  /// index; the merge cuts its output there and tags it.
+  std::vector<std::pair<int64_t, size_t>> morsel_starts_;
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
@@ -141,11 +145,13 @@ class PhysicalHashJoin : public PhysicalOperator {
   int build_phase_id_ = -1;
   int probe_phase_id_ = -1;
 
-  Chunk build_data_;                      // materialized right side
+  // The rows the probe joins against: the whole right side in memory, the
+  // resident partitions under a budget, or one reloaded spilled partition.
+  Chunk build_data_;
   std::vector<ColumnVector> build_keys_;  // evaluated right key columns
   std::vector<uint64_t> build_hashes_;    // per-row combined key hash
   std::vector<uint8_t> build_valid_;      // 0 = some key was NULL
-  JoinHashTable table_;
+  std::unique_ptr<JoinHashTable> table_;
   bool probe_done_ = false;
 };
 

@@ -27,8 +27,13 @@ namespace agora {
 /// Determinism contract: whether a plan uses the morsel path depends only
 /// on plan shape, the `enable_parallel` switch, and the source table size
 /// — never on the worker count. All merges happen in morsel-index order.
-/// Together this makes query results (including floating-point aggregate
-/// rounding) and ExecStats counters byte-identical at every thread count.
+/// The serial and budgeted paths keep the same order: chunks carry their
+/// scan morsel's index (Chunk::morsel()), and the hash aggregate cuts its
+/// partials where it changes, so every path folds the same per-morsel
+/// partials in the same order. Together this makes query results
+/// (including floating-point aggregate rounding) byte-identical at every
+/// thread count, memory budget and `enable_parallel` setting, and
+/// ExecStats counters byte-identical at every thread count.
 class MorselPipeline {
  public:
   /// Recognizes the pipeline shape rooted at `op` without opening

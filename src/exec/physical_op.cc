@@ -75,6 +75,7 @@ Status PhysicalOperator::Next(Chunk* chunk, bool* done) {
       StatsSpan(context_ != nullptr ? &context_->stats : nullptr, op_id_);
   Status status = NextImpl(chunk, done);
   if (status.ok()) {
+    if (!carries_morsel()) chunk->set_morsel(kNoMorsel);
     // AGORA_VERIFY: every chunk crossing an operator boundary is checked
     // against the producer's declared schema here, in the one non-virtual
     // wrapper all pulls go through.

@@ -268,6 +268,11 @@ class PhysicalOperator {
   /// Timed sub-phases of this operator, if any (see OperatorPhase).
   virtual std::vector<OperatorPhase> phases() const { return {}; }
 
+  /// True for the table scan and the per-chunk transforms that keep its
+  /// morsel index on their output (Chunk::morsel()); Next() clears the
+  /// index on every other operator's chunks.
+  virtual bool carries_morsel() const { return false; }
+
  protected:
   virtual Status OpenImpl() = 0;
   virtual Status NextImpl(Chunk* chunk, bool* done) = 0;

@@ -73,8 +73,10 @@ Status PhysicalScan::ScanBlock(size_t start, size_t count, Chunk* out,
 
   // The block is a chunk of views over the table's buffers. The filter
   // runs on it directly (survivor rows count from the block start), and
-  // a block every row passes is handed on without a copy.
+  // a block every row passes is handed on without a copy. Blocks never
+  // straddle a morsel, so the serial and morsel paths tag alike.
   Chunk chunk = table_->GetChunk(start, count, projection_);
+  chunk.set_morsel(start / kMorselRows);
   stats->blocks_read++;
   stats->rows_scanned += static_cast<int64_t>(chunk.num_rows());
   if (predicate_ != nullptr) {

@@ -49,6 +49,7 @@ class PhysicalScan : public PhysicalOperator {
   Status OpenImpl() override;
   Status NextImpl(Chunk* chunk, bool* done) override;
   std::string name() const override { return "Scan"; }
+  bool carries_morsel() const override { return true; }
 
   // -- Morsel-source API (parallel path) --------------------------------
   //

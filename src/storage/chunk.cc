@@ -37,6 +37,7 @@ Chunk Chunk::GatherRows(const std::vector<uint32_t>& sel) const {
     out.columns_.push_back(col.Gather(sel));
   }
   out.explicit_rows_ = sel.size();
+  out.morsel_ = morsel_;
   return out;
 }
 

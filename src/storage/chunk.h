@@ -1,6 +1,7 @@
 #ifndef AGORA_STORAGE_CHUNK_H_
 #define AGORA_STORAGE_CHUNK_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,9 @@ namespace agora {
 inline constexpr size_t kChunkSize = 2048;
 static_assert(kDictCap == kChunkSize,
               "a string dictionary is never larger than one batch");
+
+/// Chunk::morsel() of a chunk whose rows are not one scan morsel's.
+inline constexpr size_t kNoMorsel = SIZE_MAX;
 
 /// A batch of rows in columnar form — the unit of data flow between
 /// execution operators.
@@ -39,13 +43,22 @@ class Chunk {
   /// be carried explicitly.
   void SetExplicitRowCount(size_t n) { explicit_rows_ = n; }
 
+  /// Index of the table-scan morsel (exec/scan.h) this chunk's rows came
+  /// from, or kNoMorsel. The scan sets it and the per-chunk transforms
+  /// above it (filter, project, hash-join probe) carry it, so the hash
+  /// aggregate can cut its partials at the same morsel boundaries on the
+  /// serial, budgeted and morsel-parallel paths.
+  size_t morsel() const { return morsel_; }
+  void set_morsel(size_t morsel) { morsel_ = morsel; }
+
   /// Appends one row of Values (slow path; tests and tiny inserts).
   void AppendRow(const std::vector<Value>& row);
 
   /// Appends row `row` from `other` (schemas must align).
   void AppendRowFrom(const Chunk& other, size_t row);
 
-  /// Keeps only rows named in `sel` (in order). Applies to every column.
+  /// Keeps only rows named in `sel` (in order). Applies to every column;
+  /// the result keeps this chunk's morsel index.
   Chunk GatherRows(const std::vector<uint32_t>& sel) const;
 
   /// Boxes one row as Values (result-set boundary).
@@ -60,6 +73,7 @@ class Chunk {
  private:
   std::vector<ColumnVector> columns_;
   size_t explicit_rows_ = 0;
+  size_t morsel_ = kNoMorsel;
 };
 
 }  // namespace agora

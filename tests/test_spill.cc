@@ -18,6 +18,7 @@
 
 #include "common/memory_tracker.h"
 #include "engine/database.h"
+#include "exec/scan.h"
 #include "storage/spill.h"
 #include "tpch/tpch.h"
 
@@ -177,6 +178,37 @@ TEST(SpillFileTest, ChunkAndBlobRoundTripBitExact) {
 // Budgeted end-to-end execution
 // ---------------------------------------------------------------------
 
+QueryResult RunQuery(Database* db, const std::string& sql) {
+  auto result = db->Execute(sql);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? std::move(*result) : QueryResult();
+}
+
+/// Cell-exact equality; doubles compared with operator== (the
+/// byte-identity contract allows no tolerance).
+void ExpectIdentical(const QueryResult& a, const QueryResult& b,
+                     const std::string& label) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << label;
+  ASSERT_EQ(a.num_columns(), b.num_columns()) << label;
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    for (size_t c = 0; c < a.num_columns(); ++c) {
+      Value va = a.Get(r, c);
+      Value vb = b.Get(r, c);
+      ASSERT_EQ(va.is_null(), vb.is_null())
+          << label << " (" << r << "," << c << ")";
+      if (va.is_null()) continue;
+      if (va.type() == TypeId::kDouble) {
+        ASSERT_EQ(va.AsDouble(), vb.AsDouble())
+            << label << " (" << r << "," << c << ")";
+      } else {
+        ASSERT_EQ(va.Compare(vb), 0)
+            << label << " (" << r << "," << c << "): " << va.ToString()
+            << " vs " << vb.ToString();
+      }
+    }
+  }
+}
+
 /// Two engines over identical TPC-H data (the generator is
 /// deterministic): `ref_` always runs unlimited, `budgeted_` gets its
 /// budget/partition/thread knobs twiddled per test and reset after.
@@ -206,49 +238,20 @@ class SpillExecTest : public ::testing::Test {
     budgeted_->set_execution_threads(0);
   }
 
-  static QueryResult Run(Database* db, const std::string& sql) {
-    auto result = db->Execute(sql);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return result.ok() ? std::move(*result) : QueryResult();
-  }
-
-  /// Cell-exact equality; doubles compared with operator== (the
-  /// byte-identity contract allows no tolerance).
-  static void ExpectIdentical(const QueryResult& a, const QueryResult& b,
-                              const std::string& label) {
-    ASSERT_EQ(a.num_rows(), b.num_rows()) << label;
-    ASSERT_EQ(a.num_columns(), b.num_columns()) << label;
-    for (size_t r = 0; r < a.num_rows(); ++r) {
-      for (size_t c = 0; c < a.num_columns(); ++c) {
-        Value va = a.Get(r, c);
-        Value vb = b.Get(r, c);
-        ASSERT_EQ(va.is_null(), vb.is_null())
-            << label << " (" << r << "," << c << ")";
-        if (va.is_null()) continue;
-        if (va.type() == TypeId::kDouble) {
-          ASSERT_EQ(va.AsDouble(), vb.AsDouble())
-              << label << " (" << r << "," << c << ")";
-        } else {
-          ASSERT_EQ(va.Compare(vb), 0)
-              << label << " (" << r << "," << c << "): " << va.ToString()
-              << " vs " << vb.ToString();
-        }
-      }
-    }
-  }
-
   /// Unlimited-run peak for `sql`, used to size budgets relative to the
   /// actual working set instead of hard-coding byte counts.
   static int64_t UnlimitedPeak(const std::string& sql) {
-    QueryResult r = Run(budgeted_, sql);
+    QueryResult r = RunQuery(budgeted_, sql);
     return r.stats().mem_bytes_reserved_peak;
   }
 
   /// Runs `sql` under `budget` across partition counts and worker
-  /// counts, requiring byte-identical results every time; returns the
-  /// total spilled partitions observed.
+  /// counts, requiring byte-identical results every time (and, when
+  /// `peak_bound` > 0, a reserved peak below it); returns the total
+  /// spilled partitions observed.
   int64_t SweepAndCompare(const std::string& sql, int64_t budget,
-                          const QueryResult& reference) {
+                          const QueryResult& reference,
+                          int64_t peak_bound = 0) {
     int64_t spilled = 0;
     for (size_t partitions : {2u, 4u, 8u}) {
       for (int threads : {1, 4}) {
@@ -258,7 +261,7 @@ class SpillExecTest : public ::testing::Test {
         std::string label = "P=" + std::to_string(partitions) +
                             " T=" + std::to_string(threads) +
                             " budget=" + std::to_string(budget);
-        QueryResult got = Run(budgeted_, sql);
+        QueryResult got = RunQuery(budgeted_, sql);
         ExpectIdentical(reference, got, label);
         spilled += got.stats().spill_partitions;
         if (got.stats().spill_partitions > 0) {
@@ -266,6 +269,9 @@ class SpillExecTest : public ::testing::Test {
           EXPECT_GT(got.stats().spill_bytes_read, 0) << label;
         }
         EXPECT_GT(got.stats().mem_bytes_reserved_peak, 0) << label;
+        if (peak_bound > 0) {
+          EXPECT_LT(got.stats().mem_bytes_reserved_peak, peak_bound) << label;
+        }
       }
     }
     return spilled;
@@ -293,7 +299,7 @@ const char kGroupHeavyAgg[] =
     "FROM lineitem GROUP BY l_orderkey";
 
 TEST_F(SpillExecTest, JoinSpillsAndStaysByteIdentical) {
-  QueryResult reference = Run(ref_, kBuildHeavyJoin);
+  QueryResult reference = RunQuery(ref_, kBuildHeavyJoin);
   int64_t peak = UnlimitedPeak(kBuildHeavyJoin);
   ASSERT_GT(peak, 0);
   int64_t spilled =
@@ -304,7 +310,7 @@ TEST_F(SpillExecTest, JoinSpillsAndStaysByteIdentical) {
 }
 
 TEST_F(SpillExecTest, AggregateSpillsAndStaysByteIdentical) {
-  QueryResult reference = Run(ref_, kGroupHeavyAgg);
+  QueryResult reference = RunQuery(ref_, kGroupHeavyAgg);
   int64_t peak = UnlimitedPeak(kGroupHeavyAgg);
   ASSERT_GT(peak, 0);
   // A grouped aggregation's budget must at least cover its own result
@@ -313,14 +319,21 @@ TEST_F(SpillExecTest, AggregateSpillsAndStaysByteIdentical) {
   int64_t result_bytes = static_cast<int64_t>(reference.data().MemoryBytes());
   int64_t budget =
       std::max<int64_t>(peak / 4, result_bytes + (int64_t{64} << 10));
-  int64_t spilled = SweepAndCompare(kGroupHeavyAgg, budget, reference);
+  // The aggregate sheds after every input chunk, so a budgeted run holds
+  // less than an unbudgeted one even when the whole input is one morsel.
+  // (`peak` itself is budgeted when AGORA_MEM_BUDGET sets an engine
+  // default; the bound is measured without any budget.)
+  budgeted_->set_memory_budget(0);
+  int64_t unbudgeted_peak = UnlimitedPeak(kGroupHeavyAgg);
+  int64_t spilled =
+      SweepAndCompare(kGroupHeavyAgg, budget, reference, unbudgeted_peak);
   EXPECT_GT(spilled, 0) << "budget " << budget
                         << " never snapshotted an aggregation partition";
 }
 
 TEST_F(SpillExecTest, TpchQueriesByteIdenticalUnderBudget) {
   for (const std::string& sql : {TpchQ5(), TpchQ10()}) {
-    QueryResult reference = Run(ref_, sql);
+    QueryResult reference = RunQuery(ref_, sql);
     int64_t peak = UnlimitedPeak(sql);
     ASSERT_GT(peak, 0);
     SweepAndCompare(sql, std::max<int64_t>(peak / 3, 1 << 16), reference);
@@ -344,14 +357,14 @@ TEST_F(SpillExecTest, InfeasibleBudgetFailsGracefullyAndEngineSurvives) {
             rejections_before);
   // Same engine, budget lifted: the query runs fine.
   budgeted_->set_memory_budget(0);
-  QueryResult ok = Run(budgeted_, kGroupHeavyAgg);
-  QueryResult reference = Run(ref_, kGroupHeavyAgg);
+  QueryResult ok = RunQuery(budgeted_, kGroupHeavyAgg);
+  QueryResult reference = RunQuery(ref_, kGroupHeavyAgg);
   ExpectIdentical(reference, ok, "post-failure recovery");
 }
 
 TEST_F(SpillExecTest, RootReservationReturnsToZero) {
   ASSERT_EQ(budgeted_->memory_tracker()->reserved(), 0);
-  QueryResult reference = Run(ref_, kGroupHeavyAgg);
+  QueryResult reference = RunQuery(ref_, kGroupHeavyAgg);
   int64_t result_bytes = static_cast<int64_t>(reference.data().MemoryBytes());
   int64_t peak = UnlimitedPeak(kGroupHeavyAgg);
   {
@@ -361,7 +374,7 @@ TEST_F(SpillExecTest, RootReservationReturnsToZero) {
     budgeted_->set_spill_partitions(2);
     budgeted_->set_memory_budget(
         std::max<int64_t>(peak / 2, result_bytes + (int64_t{64} << 10)));
-    QueryResult held = Run(budgeted_, kGroupHeavyAgg);
+    QueryResult held = RunQuery(budgeted_, kGroupHeavyAgg);
     EXPECT_GT(held.num_rows(), 0u);
   }
   // Every charge is owned by RAII holders inside operators or result
@@ -379,11 +392,11 @@ TEST_F(SpillExecTest, SpillTempFilesAreCleanedUp) {
     options.scale_factor = 0.005;
     ASSERT_TRUE(GenerateTpch(options, &db.catalog()).ok());
     db.set_spill_dir(dir);
-    QueryResult unlimited = Run(&db, kBuildHeavyJoin);
+    QueryResult unlimited = RunQuery(&db, kBuildHeavyJoin);
     db.set_memory_budget(
         std::max<int64_t>(unlimited.stats().mem_bytes_reserved_peak / 4,
                           1 << 16));
-    QueryResult got = Run(&db, kBuildHeavyJoin);
+    QueryResult got = RunQuery(&db, kBuildHeavyJoin);
     EXPECT_GT(got.stats().spill_partitions, 0);
     ExpectIdentical(unlimited, got, "spill-dir run");
   }
@@ -396,13 +409,142 @@ TEST_F(SpillExecTest, SpillTempFilesAreCleanedUp) {
 TEST_F(SpillExecTest, MetricsExposeSpillCounters) {
   int64_t peak = UnlimitedPeak(kBuildHeavyJoin);
   budgeted_->set_memory_budget(std::max<int64_t>(peak / 4, 1 << 16));
-  QueryResult got = Run(budgeted_, kBuildHeavyJoin);
+  QueryResult got = RunQuery(budgeted_, kBuildHeavyJoin);
   ASSERT_GT(got.stats().spill_partitions, 0);
   std::string snapshot = budgeted_->MetricsSnapshot();
   EXPECT_NE(snapshot.find("spill_partitions_total"), std::string::npos);
   EXPECT_NE(snapshot.find("spill_bytes_written_total"), std::string::npos);
   EXPECT_NE(snapshot.find("spill_bytes_read_total"), std::string::npos);
   EXPECT_NE(snapshot.find("mem_bytes_reserved_peak"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Multi-morsel byte identity
+// ---------------------------------------------------------------------
+
+/// The SF 0.005 data above fits in one scan morsel, where every path adds
+/// a group's values in one order whatever it does. Here `lineitem` spans
+/// several morsels: the morsel path sums each morsel into a partial and
+/// merges the partials in morsel order, and the serial and budgeted paths
+/// must cut and merge their partials at the same boundaries, or doubles
+/// differ in the last digits.
+class MultiMorselTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    setenv("AGORA_THREADS", "4", 0);
+    TpchOptions options;
+    options.scale_factor = 0.02;
+    ref_ = new Database();
+    ASSERT_TRUE(GenerateTpch(options, &ref_->catalog()).ok());
+    // The reference is unbudgeted even when AGORA_MEM_BUDGET sets an
+    // engine default.
+    ref_->set_memory_budget(0);
+    ref_->set_execution_threads(4);
+    db_ = new Database();
+    ASSERT_TRUE(GenerateTpch(options, &db_->catalog()).ok());
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    delete ref_;
+    db_ = nullptr;
+    ref_ = nullptr;
+  }
+  void TearDown() override {
+    db_->set_memory_budget(0);
+    db_->set_execution_threads(0);
+    db_->physical_options().enable_parallel = true;
+  }
+
+  static Database* ref_;
+  static Database* db_;
+};
+
+Database* MultiMorselTest::ref_ = nullptr;
+Database* MultiMorselTest::db_ = nullptr;
+
+// A scalar double SUM over a join that probes with `lineitem`: a small
+// budget spills build partitions of `orders`, and the diverted probe rows
+// of every morsel come back through the join's k-way merge.
+const char kJoinSum[] =
+    "SELECT SUM(l_extendedprice * (1.0 - l_discount)) FROM lineitem, orders "
+    "WHERE l_orderkey = o_orderkey";
+
+// Many groups, each spread over both morsels, but a small result: a
+// budget under the group state spills aggregate partitions, and the
+// reload replays rows of both morsels into run partials folded in order.
+const char kGroupHeavyHaving[] =
+    "SELECT l_partkey, COUNT(*), SUM(l_extendedprice * (1.0 - l_discount)) "
+    "FROM lineitem GROUP BY l_partkey HAVING COUNT(*) > 40";
+
+TEST_F(MultiMorselTest, SerialAndBudgetedPathsMatchTheMorselPath) {
+  auto lineitem = ref_->catalog().GetTable("lineitem");
+  ASSERT_TRUE(lineitem.ok());
+  ASSERT_GT((*lineitem)->num_rows(), kMorselRows)
+      << "lineitem must span more than one morsel";
+
+  struct Setting {
+    const char* name;
+    int64_t budget;  // 0 = unlimited
+    bool parallel;
+  };
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"Q1", TpchQ1()},   {"Q5", TpchQ5()},
+      {"Q10", TpchQ10()}, {"Q14", TpchQ14()},
+      {"group-heavy", kGroupHeavyAgg}, {"join-sum", kJoinSum},
+      {"having", kGroupHeavyHaving}};
+  int64_t join_sum_spills = 0;
+  int64_t having_spills = 0;
+  for (const auto& [query, sql] : queries) {
+    QueryResult reference = RunQuery(ref_, sql);
+    db_->set_memory_budget(0);
+    int64_t peak = RunQuery(db_, sql).stats().mem_bytes_reserved_peak;
+    ASSERT_GT(peak, 0) << query;
+    // The result is not spillable: a budget must hold it while it grows
+    // (up to twice its bytes reserved), plus a chunk.
+    int64_t floor =
+        2 * static_cast<int64_t>(reference.data().MemoryBytes()) + (64 << 10);
+    const Setting settings[] = {
+        {"roomy budget", int64_t{1} << 30, true},
+        {"spilling budget", std::max(peak / 4, floor), true},
+        {"enable_parallel=false", 0, false}};
+    for (const Setting& setting : settings) {
+      for (int threads : {1, 4}) {
+        db_->set_memory_budget(setting.budget);
+        db_->physical_options().enable_parallel = setting.parallel;
+        db_->set_execution_threads(threads);
+        std::string label = query + " " + setting.name +
+                            " T=" + std::to_string(threads);
+        QueryResult got = RunQuery(db_, sql);
+        ExpectIdentical(reference, got, label);
+        // The work counters do not depend on where the rows wait.
+        EXPECT_EQ(got.stats().bloom_checked_rows,
+                  reference.stats().bloom_checked_rows)
+            << label;
+        EXPECT_EQ(got.stats().rows_joined, reference.stats().rows_joined)
+            << label;
+        EXPECT_EQ(got.stats().rows_aggregated,
+                  reference.stats().rows_aggregated)
+            << label;
+        EXPECT_EQ(got.stats().hash_table_entries,
+                  reference.stats().hash_table_entries)
+            << label;
+        if (setting.budget == int64_t{1} << 30) {
+          EXPECT_EQ(got.stats().spill_partitions, 0) << label;
+        }
+        // Spilling trades disk for memory: a run that spilled must peak
+        // below the unbudgeted run.
+        if (got.stats().spill_partitions > 0) {
+          EXPECT_LT(got.stats().mem_bytes_reserved_peak, peak) << label;
+        }
+        if (query == "join-sum") {
+          join_sum_spills += got.stats().spill_partitions;
+        }
+        if (query == "having") having_spills += got.stats().spill_partitions;
+      }
+    }
+  }
+  EXPECT_GT(join_sum_spills, 0) << "no budget spilled the join under SUM";
+  EXPECT_GT(having_spills, 0) << "no budget spilled the grouped aggregate";
 }
 
 }  // namespace
