@@ -1,7 +1,6 @@
 #include "engine/database.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 
 #include "common/timer.h"
@@ -92,7 +91,11 @@ Database::Database(DatabaseOptions options)
 Result<QueryResult> Database::Execute(const std::string& sql,
                                       const QueryControl* control) {
   AGORA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  statements_executed_.fetch_add(1, std::memory_order_relaxed);
+  return Execute(stmt, control);
+}
+
+Result<QueryResult> Database::Execute(const Statement& stmt,
+                                      const QueryControl* control) {
   metrics_.Add("statements_total", 1.0);
   if (auto* select = std::get_if<SelectStatement>(&stmt.node)) {
     return ExecuteSelect(*select, stmt.explain, stmt.analyze, control);
@@ -129,45 +132,6 @@ Result<QueryResult> Database::Execute(const std::string& sql,
   return Status::Internal("unhandled statement kind");
 }
 
-bool Database::IsReadOnlyStatement(const std::string& sql) {
-  // Leading-keyword sniff: skip whitespace and SQL line comments, then
-  // compare tokens case-insensitively. Only SELECT — bare or wrapped in
-  // EXPLAIN [ANALYZE] — classifies as read-only. The parser accepts
-  // EXPLAIN before every statement kind (Execute() rejects the non-SELECT
-  // ones), so "EXPLAIN INSERT ..." must classify as a write here rather
-  // than ride the shared side of the server's engine lock. Anything
-  // unrecognized classifies as a write, which is always safe.
-  size_t i = 0;
-  auto next_keyword = [&sql, &i]() {
-    while (i < sql.size()) {
-      if (std::isspace(static_cast<unsigned char>(sql[i]))) {
-        ++i;
-      } else if (sql.compare(i, 2, "--") == 0) {
-        while (i < sql.size() && sql[i] != '\n') ++i;
-      } else {
-        break;
-      }
-    }
-    size_t end = i;
-    while (end < sql.size() &&
-           std::isalpha(static_cast<unsigned char>(sql[end]))) {
-      ++end;
-    }
-    std::string keyword = sql.substr(i, end - i);
-    i = end;
-    for (char& c : keyword) {
-      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    }
-    return keyword;
-  };
-  std::string keyword = next_keyword();
-  if (keyword == "EXPLAIN") {
-    keyword = next_keyword();
-    if (keyword == "ANALYZE") keyword = next_keyword();
-  }
-  return keyword == "SELECT";
-}
-
 Result<std::string> Database::Explain(const std::string& sql) {
   AGORA_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   auto* select = std::get_if<SelectStatement>(&stmt.node);
@@ -192,10 +156,6 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
   // digging deeper before the first chunk.
   Status admit = memory_root_->CheckBudget("admission");
   if (!admit.ok()) {
-    {
-      MutexLock lock(stats_mu_);
-      cumulative_stats_.mem_budget_rejections += 1;
-    }
     metrics_.Add("mem_budget_rejections_total", 1.0);
     return admit;
   }
@@ -211,7 +171,7 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
   // Every execution gets a fresh context, so per-query stats (and the
   // EXPLAIN ANALYZE profile derived from them) start from zero — running
   // the same analysis back to back reports identical counters. Only the
-  // single Merge below touches the database-wide accumulators.
+  // single RecordQueryMetrics below touches the engine-wide registry.
   ExecContext context;
   context.control = control;
   // Per-query tracker: a child of the engine root, installed as the
@@ -237,21 +197,13 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
   Result<Chunk> collected = ParallelCollectAll(root.get(), &context);
   if (!collected.ok()) {
     // Budget exhaustion is a per-query failure, never a process failure:
-    // count it, fold the partial stats in, and hand the Status back with
-    // the engine fully usable for the next statement.
+    // count it and hand the Status back with the engine fully usable for
+    // the next statement.
     if (collected.status().code() == StatusCode::kResourceExhausted) {
-      context.stats.mem_budget_rejections += 1;
       metrics_.Add("mem_budget_rejections_total", 1.0);
     }
     if (collected.status().code() == StatusCode::kDeadlineExceeded) {
       metrics_.Add("queries_cancelled_total", 1.0);
-    }
-    context.stats.mem_bytes_reserved_peak =
-        std::max(context.stats.mem_bytes_reserved_peak,
-                 query_tracker->peak());
-    {
-      MutexLock lock(stats_mu_);
-      cumulative_stats_.Merge(context.stats);
     }
     return collected.status();
   }
@@ -261,11 +213,6 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
       context.stats.mem_bytes_reserved_peak, query_tracker->peak());
   std::vector<OperatorProfileNode> profile =
       CollectProfile(root.get(), context.stats);
-  // Accumulate into the database-wide counters.
-  {
-    MutexLock lock(stats_mu_);
-    cumulative_stats_.Merge(context.stats);
-  }
   RecordQueryMetrics(context.stats, profile, seconds, data.num_rows());
   return QueryResult(plan->schema(), std::move(data), context.stats,
                      std::move(profile));
@@ -282,53 +229,21 @@ SpillManager* Database::EnsureSpillManager() {
 void Database::RecordQueryMetrics(
     const ExecStats& stats, const std::vector<OperatorProfileNode>& profile,
     double seconds, size_t result_rows) {
-  // One registry counter per ExecStats field (names are the documented
-  // contract — docs/METRICS.md must list every literal below).
-  metrics_.Add("rows_scanned_total", static_cast<double>(stats.rows_scanned));
-  metrics_.Add("blocks_read_total", static_cast<double>(stats.blocks_read));
-  metrics_.Add("blocks_skipped_total",
-               static_cast<double>(stats.blocks_skipped));
-  metrics_.Add("rows_joined_total", static_cast<double>(stats.rows_joined));
-  metrics_.Add("probe_calls_total", static_cast<double>(stats.probe_calls));
-  metrics_.Add("rows_aggregated_total",
-               static_cast<double>(stats.rows_aggregated));
-  metrics_.Add("rows_sorted_total", static_cast<double>(stats.rows_sorted));
-  metrics_.Add("bytes_materialized_total",
-               static_cast<double>(stats.bytes_materialized));
-  metrics_.Add("chunks_emitted_total",
-               static_cast<double>(stats.chunks_emitted));
-  metrics_.Add("hybrid_filter_rows_total",
-               static_cast<double>(stats.hybrid_filter_rows));
-  metrics_.Add("vector_distances_total",
-               static_cast<double>(stats.vector_distances));
-  metrics_.Add("overfetch_retries_total",
-               static_cast<double>(stats.overfetch_retries));
-  metrics_.Add("fusion_candidates_total",
-               static_cast<double>(stats.fusion_candidates));
-  metrics_.Add("hash_table_entries_total",
-               static_cast<double>(stats.hash_table_entries));
-  metrics_.Add("hash_table_slots_total",
-               static_cast<double>(stats.hash_table_slots));
-  metrics_.Add("hash_table_lookups_total",
-               static_cast<double>(stats.hash_table_lookups));
-  metrics_.Add("hash_table_probe_steps_total",
-               static_cast<double>(stats.hash_table_probe_steps));
-  metrics_.Add("bloom_checked_rows_total",
-               static_cast<double>(stats.bloom_checked_rows));
-  metrics_.Add("bloom_filtered_rows_total",
-               static_cast<double>(stats.bloom_filtered_rows));
-  metrics_.Add("expr_rows_evaluated_total",
-               static_cast<double>(stats.expr_rows_evaluated));
-  metrics_.Add("sel_vector_hits_total",
-               static_cast<double>(stats.sel_vector_hits));
-  metrics_.Add("filter_gathers_avoided_total",
-               static_cast<double>(stats.filter_gathers_avoided));
-  metrics_.Add("spill_partitions_total",
-               static_cast<double>(stats.spill_partitions));
-  metrics_.Add("spill_bytes_written_total",
-               static_cast<double>(stats.spill_bytes_written));
-  metrics_.Add("spill_bytes_read_total",
-               static_cast<double>(stats.spill_bytes_read));
+  // One registry series per ExecStats counter, named by the counter list
+  // (docs/METRICS.md documents every generated name).
+  for (const ExecCounter& c : kExecCounters) {
+    const double value = static_cast<double>(stats.*c.field);
+    switch (c.kind) {
+      case ExecCounterKind::kSum:
+        metrics_.Add(c.total_name, value);
+        break;
+      case ExecCounterKind::kPeak:
+        metrics_.SetGauge(c.name, value);
+        break;
+      case ExecCounterKind::kFailure:
+        break;  // added where the query fails, never as a zero series
+    }
+  }
   metrics_.Add("queries_total", 1.0);
   metrics_.Add("query_seconds_total", seconds);
   metrics_.Add("joules_proxy_total", stats.JoulesProxy());
@@ -343,8 +258,6 @@ void Database::RecordQueryMetrics(
   }
   metrics_.SetGauge("last_query_seconds", seconds);
   metrics_.SetGauge("last_query_rows", static_cast<double>(result_rows));
-  metrics_.SetGauge("mem_bytes_reserved_peak",
-                    static_cast<double>(stats.mem_bytes_reserved_peak));
   metrics_.SetGauge("execution_threads",
                     static_cast<double>(options_.physical.num_threads));
 }

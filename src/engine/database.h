@@ -112,6 +112,12 @@ class Database {
   Result<QueryResult> Execute(const std::string& sql,
                               const QueryControl* control);
 
+  /// Runs an already parsed statement (see ParseStatement), so a caller
+  /// can classify it first with Statement::read_only(); the HTTP front
+  /// end picks its engine-lock side that way without parsing twice.
+  Result<QueryResult> Execute(const Statement& stmt,
+                              const QueryControl* control);
+
   /// Returns the optimized logical plan text for a SELECT.
   Result<std::string> Explain(const std::string& sql);
 
@@ -126,37 +132,6 @@ class Database {
   }
   Result<QueryResult> ExecutePlan(const LogicalOpPtr& plan,
                                   const QueryControl* control);
-
-  /// Number of statements executed since construction (the ORM experiment
-  /// counts round trips with this).
-  int64_t statements_executed() const {
-    return statements_executed_.load(std::memory_order_relaxed);
-  }
-
-  /// Cumulative execution stats across all statements, returned as a
-  /// consistent copy (concurrent queries merge under a lock). Kept for
-  /// direct struct access; the MetricsRegistry subsumes these counters
-  /// under stable exported names (see docs/METRICS.md).
-  ExecStats cumulative_stats() const {
-    MutexLock lock(stats_mu_);
-    return cumulative_stats_;
-  }
-  void ResetCumulativeStats() {
-    {
-      MutexLock lock(stats_mu_);
-      cumulative_stats_.Reset();
-    }
-    metrics_.Reset();
-  }
-
-  /// True when `sql`'s leading keywords mark a statement that never
-  /// mutates engine state: SELECT, bare or wrapped in EXPLAIN [ANALYZE].
-  /// EXPLAIN before anything else classifies as a write (Execute()
-  /// rejects it, but it must not ride the shared lock). The server
-  /// front end uses this to run read statements under the shared side of
-  /// its reader/writer lock. Cheap (no parse); unknown statements
-  /// classify as writes, which is always safe.
-  static bool IsReadOnlyStatement(const std::string& sql);
 
   /// Engine-wide named counters and gauges, updated once per executed
   /// query (never double-counted by EXPLAIN ANALYZE re-renders).
@@ -239,9 +214,6 @@ class Database {
   DatabaseOptions options_;
   Catalog catalog_;
   Optimizer optimizer_;
-  std::atomic<int64_t> statements_executed_{0};
-  mutable Mutex stats_mu_;
-  ExecStats cumulative_stats_ AGORA_GUARDED_BY(stats_mu_);
   MetricsRegistry metrics_;
   std::shared_ptr<MemoryTracker> memory_root_;
   Mutex spill_mu_;  // guards lazy spill_ creation + the directory it uses

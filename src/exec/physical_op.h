@@ -18,50 +18,61 @@ namespace agora {
 class SpillManager;
 class ThreadPool;
 
+/// How an ExecStats counter merges across workers and how it leaves the
+/// query in Database::RecordQueryMetrics (names documented in
+/// docs/METRICS.md).
+enum class ExecCounterKind {
+  kSum,      // additive; registry counter `<name>_total`, added per query
+  kPeak,     // high-water mark, merged by max; registry gauge `<name>`
+  kFailure,  // additive; `<name>_total` is added only where a query fails
+};
+
+/// Every ExecStats counter, declared once as X(field, kind). The list
+/// generates the struct fields and the kExecCounters table that Merge,
+/// ToString, the registry export and the tests iterate. List order is
+/// the EXPLAIN ANALYZE `totals:` order.
+#define AGORA_EXEC_COUNTERS(X)                                             \
+  X(rows_scanned, kSum)                                                    \
+  X(blocks_read, kSum)                                                     \
+  X(blocks_skipped, kSum) /* zone-map pruning wins */                      \
+  X(rows_joined, kSum)    /* join output rows */                           \
+  X(probe_calls, kSum)    /* hash table probes */                          \
+  X(rows_aggregated, kSum) /* aggregate input rows */                      \
+  X(rows_sorted, kSum)                                                     \
+  X(bytes_materialized, kSum)                                              \
+  X(chunks_emitted, kSum)                                                  \
+  /* Hybrid search (PhysicalHybridSearch). */                              \
+  X(hybrid_filter_rows, kSum) /* rows the attribute predicate touched */   \
+  X(vector_distances, kSum)   /* distance computations */                  \
+  X(overfetch_retries, kSum)  /* post-filter fetch doublings */            \
+  X(fusion_candidates, kSum)  /* docs in the final fused ranking */        \
+  /* Vectorized hash tables (exec/hash_table.h). Slots and probe steps */  \
+  /* depend on the partition count (= worker count on the join build), */  \
+  /* so the determinism contract excludes them. */                         \
+  X(hash_table_entries, kSum)                                              \
+  X(hash_table_slots, kSum)                                                \
+  X(hash_table_lookups, kSum)                                              \
+  X(hash_table_probe_steps, kSum)                                          \
+  X(bloom_checked_rows, kSum)  /* probe rows tested on the filter */       \
+  X(bloom_filtered_rows, kSum) /* probe rows rejected pre-table */         \
+  /* Expression engine (expr/expr.h ExprCounters). */                      \
+  X(expr_rows_evaluated, kSum)    /* rows through non-leaf kernels */      \
+  X(sel_vector_hits, kSum)        /* calls under a narrowed selection */   \
+  X(filter_gathers_avoided, kSum) /* filter outputs reused, no gather */   \
+  /* Memory governance (common/memory_tracker.h, storage/spill.h). */      \
+  X(mem_bytes_reserved_peak, kPeak)                                        \
+  X(mem_budget_rejections, kFailure)                                       \
+  X(spill_partitions, kSum)                                                \
+  X(spill_bytes_written, kSum)                                             \
+  X(spill_bytes_read, kSum)
+
 /// Counters collected while a query runs. Also the basis of the
 /// sustainability proxy in experiment E7: `JoulesProxy()` weighs data
 /// movement and materialization, not just wall-clock time.
 struct ExecStats {
-  int64_t rows_scanned = 0;
-  int64_t blocks_read = 0;
-  int64_t blocks_skipped = 0;   // zone-map pruning wins
-  int64_t rows_joined = 0;      // join output rows
-  int64_t probe_calls = 0;      // hash table probes
-  int64_t rows_aggregated = 0;  // aggregate input rows
-  int64_t rows_sorted = 0;
-  int64_t bytes_materialized = 0;
-  int64_t chunks_emitted = 0;
-  // Hybrid-search counters (PhysicalHybridSearch). Mirror the legacy
-  // HybridQueryStats fields so EXPLAIN ANALYZE reports them uniformly.
-  int64_t hybrid_filter_rows = 0;    // rows the attribute predicate touched
-  int64_t vector_distances = 0;      // distance computations
-  int64_t overfetch_retries = 0;     // post-filter fetch doublings
-  int64_t fusion_candidates = 0;     // docs in the final fused ranking
-  // Vectorized hash-table counters (exec/hash_table.h). The bloom pair is
-  // thread-invariant; slots and probe_steps depend on the partition count
-  // (= worker count on the join build), so they are reported but excluded
-  // from the determinism contract.
-  int64_t bloom_checked_rows = 0;        // probe rows tested on the filter
-  int64_t bloom_filtered_rows = 0;       // probe rows rejected pre-table
-  int64_t hash_table_entries = 0;        // keys stored across tables built
-  int64_t hash_table_slots = 0;          // slot-directory capacity built
-  int64_t hash_table_lookups = 0;        // key lookups issued
-  int64_t hash_table_probe_steps = 0;    // slot inspections across lookups
-  // Vectorized expression-engine counters (expr/expr.h ExprCounters,
-  // folded in by filter/project/scan). Thread-invariant: batch sizes
-  // depend only on block layout and the predicate, never worker count.
-  int64_t expr_rows_evaluated = 0;   // rows through non-leaf expr kernels
-  int64_t sel_vector_hits = 0;       // kernel calls under a narrowed selection
-  int64_t filter_gathers_avoided = 0;  // filter outputs reused without gather
-  // Memory-governance counters (common/memory_tracker.h, storage/spill.h).
-  // The peak merges via max (it is a high-water mark, not additive); the
-  // spill triple is additive and nonzero only when a budgeted operator
-  // actually parked partitions on disk.
-  int64_t mem_bytes_reserved_peak = 0;  // query tracker high-water mark
-  int64_t mem_budget_rejections = 0;    // queries failed on budget pressure
-  int64_t spill_partitions = 0;         // partitions parked on disk
-  int64_t spill_bytes_written = 0;      // bytes serialized to spill files
-  int64_t spill_bytes_read = 0;         // bytes read back from spill files
+#define AGORA_DECLARE_COUNTER(name, kind) int64_t name = 0;
+  AGORA_EXEC_COUNTERS(AGORA_DECLARE_COUNTER)
+#undef AGORA_DECLARE_COUNTER
 
   /// Per-operator self-time slots, indexed by PhysicalOperator::op_id().
   /// Additive like every other counter; per-worker copies merge exactly.
@@ -74,45 +85,10 @@ struct ExecStats {
 
   void Reset() { *this = ExecStats{}; }
 
-  /// Folds another stats block into this one. All counters are additive,
-  /// so merging per-worker slots reproduces the serial totals exactly.
-  void Merge(const ExecStats& other) {
-    rows_scanned += other.rows_scanned;
-    blocks_read += other.blocks_read;
-    blocks_skipped += other.blocks_skipped;
-    rows_joined += other.rows_joined;
-    probe_calls += other.probe_calls;
-    rows_aggregated += other.rows_aggregated;
-    rows_sorted += other.rows_sorted;
-    bytes_materialized += other.bytes_materialized;
-    chunks_emitted += other.chunks_emitted;
-    hybrid_filter_rows += other.hybrid_filter_rows;
-    vector_distances += other.vector_distances;
-    overfetch_retries += other.overfetch_retries;
-    fusion_candidates += other.fusion_candidates;
-    bloom_checked_rows += other.bloom_checked_rows;
-    bloom_filtered_rows += other.bloom_filtered_rows;
-    hash_table_entries += other.hash_table_entries;
-    hash_table_slots += other.hash_table_slots;
-    hash_table_lookups += other.hash_table_lookups;
-    hash_table_probe_steps += other.hash_table_probe_steps;
-    expr_rows_evaluated += other.expr_rows_evaluated;
-    sel_vector_hits += other.sel_vector_hits;
-    filter_gathers_avoided += other.filter_gathers_avoided;
-    if (other.mem_bytes_reserved_peak > mem_bytes_reserved_peak) {
-      mem_bytes_reserved_peak = other.mem_bytes_reserved_peak;
-    }
-    mem_budget_rejections += other.mem_budget_rejections;
-    spill_partitions += other.spill_partitions;
-    spill_bytes_written += other.spill_bytes_written;
-    spill_bytes_read += other.spill_bytes_read;
-    if (op_timings.size() < other.op_timings.size()) {
-      op_timings.resize(other.op_timings.size());
-    }
-    for (size_t i = 0; i < other.op_timings.size(); ++i) {
-      op_timings[i].Merge(other.op_timings[i]);
-    }
-  }
+  /// Folds another stats block into this one. Every counter but the
+  /// peak is additive, so merging per-worker slots reproduces the serial
+  /// totals exactly.
+  void Merge(const ExecStats& other);
 
   /// Synthetic energy proxy (arbitrary units): weighted sum of bytes moved
   /// and per-row work. Tracks resource footprint independent of latency.
@@ -124,6 +100,21 @@ struct ExecStats {
   }
 
   std::string ToString() const;
+};
+
+/// One row per AGORA_EXEC_COUNTERS entry, in list order.
+struct ExecCounter {
+  const char* name;        // field name; also the gauge name of kPeak
+  const char* total_name;  // `<name>_total`, the counter name otherwise
+  ExecCounterKind kind;
+  int64_t ExecStats::*field;
+};
+
+inline constexpr ExecCounter kExecCounters[] = {
+#define AGORA_COUNTER_ROW(name, kind) \
+  {#name, #name "_total", ExecCounterKind::kind, &ExecStats::name},
+    AGORA_EXEC_COUNTERS(AGORA_COUNTER_ROW)
+#undef AGORA_COUNTER_ROW
 };
 
 /// Per-query execution context shared by all operators of one plan.
@@ -147,7 +138,7 @@ struct ExecContext {
 
   /// Per-worker counter slots used during a parallel section so the hot
   /// path never touches shared counters or atomics. Merged into `stats`
-  /// (exactly — all counters are additive) at the section barrier.
+  /// (exactly, see ExecStats::Merge) at the section barrier.
   std::vector<ExecStats> worker_stats;
 
   /// Per-query memory tracker (child of the engine root). Null when the

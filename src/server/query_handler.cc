@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "server/json_util.h"
+#include "sql/parser.h"
 
 namespace agora {
 
@@ -306,22 +307,26 @@ HttpResponse QueryHandler::HandleQuery(const HttpRequest& request) {
   metrics.Add("server_queries_admitted_total", 1.0);
   metrics.SetGauge("server_queries_active", admission_.active());
 
-  // Read statements (SELECT, bare or explained) take the shared side and run
+  // The statement is parsed once, outside the engine lock: a malformed
+  // one fails without waiting, and the AST picks the lock side. Read
+  // statements (SELECT, bare or explained) take the shared side and run
   // concurrently up to the admission cap; everything else takes the
   // exclusive side and serializes. Waiters are bounded by their own
   // deadline, expressed through the scoped guards so the thread-safety
   // analysis checks the pairing.
-  const bool read_only = Database::IsReadOnlyStatement(sql->string_value);
+  Result<Statement> stmt = ParseStatement(sql->string_value);
   Result<QueryResult> result = Status::DeadlineExceeded(
       "query deadline expired while waiting for the engine");
-  if (read_only) {
+  if (!stmt.ok()) {
+    result = stmt.status();
+  } else if (stmt->read_only()) {
     DeadlineReadGuard engine(engine_mu_, control.has_deadline(),
                              admit_deadline);
-    if (engine.held()) result = db_->Execute(sql->string_value, &control);
+    if (engine.held()) result = db_->Execute(*stmt, &control);
   } else {
     DeadlineWriteGuard engine(engine_mu_, control.has_deadline(),
                               admit_deadline);
-    if (engine.held()) result = db_->Execute(sql->string_value, &control);
+    if (engine.held()) result = db_->Execute(*stmt, &control);
   }
   admission_.Release();
   metrics.SetGauge("server_queries_active", admission_.active());

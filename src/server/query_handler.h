@@ -12,8 +12,9 @@
 // EXPLAIN [ANALYZE]) concurrently — the catalog hands queries shared_ptr snapshots under a
 // reader lock — but data-mutating statements (INSERT/UPDATE/DELETE/COPY)
 // mutate column storage in place and need exclusion. The handler
-// provides it with a deadline-aware reader/writer lock: read statements
-// take the shared side and truly overlap (the admission cap
+// provides it with a deadline-aware reader/writer lock, parsing each
+// statement once before taking it (Statement::read_only() picks the
+// side): read statements take the shared side and truly overlap (the admission cap
 // AGORA_MAX_CONCURRENT_QUERIES is real parallelism), writes take the
 // exclusive side and serialize against everything. Each waiter is
 // bounded by its own deadline. The AdmissionController caps how many

@@ -182,6 +182,14 @@ struct Statement {
       node;
   bool explain = false;  // EXPLAIN SELECT ...
   bool analyze = false;  // EXPLAIN ANALYZE SELECT ... (implies explain)
+
+  /// True when running the statement never mutates engine state: a
+  /// SELECT, bare or wrapped in EXPLAIN [ANALYZE]. EXPLAIN around any
+  /// other kind is a write here (Database::Execute rejects it), so the
+  /// server never runs it on the shared side of its engine lock.
+  bool read_only() const {
+    return std::holds_alternative<SelectStatement>(node);
+  }
 };
 
 }  // namespace agora

@@ -9,13 +9,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/database.h"
 #include "server/query_handler.h"
+#include "sql/parser.h"
 
 namespace agora {
 namespace {
@@ -262,45 +265,56 @@ TEST_F(ConcurrentQueryTest, StringReadsRaceDictionaryGrowthPastTheCap) {
   EXPECT_EQ(distinct.Get(0, 0).int64_value(), 6 + 2100);
 }
 
-// Engine-wide counters stay exact under concurrency: queries_total
-// advances by exactly one per query, statements_executed by one per
-// statement, and rows_scanned_total by exactly the sum of the per-query
-// stats the same executions reported.
+// Engine-wide counters stay exact under concurrency: queries_total and
+// statements_total advance by exactly one per query, and every exported
+// ExecStats counter by exactly the sum of the per-query stats the same
+// executions reported.
 TEST_F(ConcurrentQueryTest, MetricsCountersStayConsistent) {
   constexpr int kThreads = 6;
   constexpr int kPerThread = 10;
   const std::string query = "SELECT COUNT(*) FROM points WHERE id >= 0";
+  const MetricsRegistry& metrics = db_->metrics();
 
-  const double queries_before = db_->metrics().CounterValue("queries_total");
-  const double scanned_before =
-      db_->metrics().CounterValue("rows_scanned_total");
-  const int64_t statements_before = db_->statements_executed();
+  const double queries_before = metrics.CounterValue("queries_total");
+  const double statements_before = metrics.CounterValue("statements_total");
+  std::vector<double> before;
+  for (const ExecCounter& c : kExecCounters) {
+    before.push_back(metrics.CounterValue(c.total_name));
+  }
 
-  std::atomic<int64_t> scanned_by_queries{0};
+  // One summed stats block per thread, merged after the join.
+  std::vector<ExecStats> summed(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         auto result = db_->Execute(query);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
-        scanned_by_queries.fetch_add(result->stats().rows_scanned,
-                                     std::memory_order_relaxed);
+        for (const ExecCounter& c : kExecCounters) {
+          summed[t].*c.field += result->stats().*c.field;
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
 
   const double executed = kThreads * kPerThread;
-  EXPECT_DOUBLE_EQ(db_->metrics().CounterValue("queries_total"),
+  EXPECT_DOUBLE_EQ(metrics.CounterValue("queries_total"),
                    queries_before + executed);
-  EXPECT_EQ(db_->statements_executed(),
-            statements_before + static_cast<int64_t>(executed));
-  EXPECT_DOUBLE_EQ(db_->metrics().CounterValue("rows_scanned_total"),
-                   scanned_before +
-                       static_cast<double>(scanned_by_queries.load()));
-  EXPECT_EQ(db_->cumulative_stats().rows_scanned >=
-                scanned_by_queries.load(),
-            true);
+  EXPECT_DOUBLE_EQ(metrics.CounterValue("statements_total"),
+                   statements_before + executed);
+  int64_t rows_scanned = 0;
+  for (size_t i = 0; i < std::size(kExecCounters); ++i) {
+    const ExecCounter& c = kExecCounters[i];
+    if (c.kind == ExecCounterKind::kPeak) continue;  // a gauge, not a sum
+    int64_t sum = 0;
+    for (const ExecStats& s : summed) sum += s.*c.field;
+    if (c.field == &ExecStats::rows_scanned) rows_scanned = sum;
+    EXPECT_DOUBLE_EQ(metrics.CounterValue(c.total_name),
+                     before[i] + static_cast<double>(sum))
+        << c.total_name;
+  }
+  EXPECT_GT(rows_scanned, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,37 +424,50 @@ TEST(DeadlineSharedLock, TimedOutWriterLeavesNoResidue) {
   lock.UnlockShared();
 }
 
-// Statement classification driving the shared-vs-exclusive choice.
-TEST(IsReadOnlyStatement, ClassifiesLeadingKeyword) {
-  EXPECT_TRUE(Database::IsReadOnlyStatement("SELECT 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("  select * from t"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("\n-- comment\nSELECT 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("EXPLAIN SELECT 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement("explain analyze select 1"));
-  EXPECT_TRUE(Database::IsReadOnlyStatement(
-      "EXPLAIN ANALYZE\n-- comment\nSELECT 1"));
-  // EXPLAIN wrapping anything but SELECT must classify as a write: the
-  // parser accepts it, and routing it to the shared lock on the EXPLAIN
-  // keyword alone would let the wrapped statement race readers.
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN INSERT INTO t VALUES (1)"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("explain analyze update t SET a = 1"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN DROP TABLE t"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("EXPLAIN ANALYZE"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("INSERT INTO t VALUES (1)"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("UPDATE t SET a = 1"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("DELETE FROM t"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("CREATE TABLE t (a BIGINT)"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("DROP TABLE t"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("COPY t FROM 'x.csv'"));
-  EXPECT_FALSE(Database::IsReadOnlyStatement(""));
-  EXPECT_FALSE(Database::IsReadOnlyStatement("   -- only a comment"));
+// Statement classification driving the server's shared-vs-exclusive
+// engine-lock choice comes from the parsed AST, never from keywords.
+// (The grammar requires FROM, so the SELECT cases name a table.)
+TEST(StatementReadOnly, ClassifiesParsedStatement) {
+  const std::pair<const char*, bool> cases[] = {
+      {"SELECT a FROM t", true},
+      {"  select * from t", true},
+      {"\n-- comment\nSELECT a FROM t", true},
+      {"EXPLAIN SELECT a FROM t", true},
+      {"explain analyze select a from t", true},
+      {"EXPLAIN ANALYZE\n-- comment\nSELECT a FROM t", true},
+      // EXPLAIN wrapping anything but SELECT must classify as a write:
+      // the parser accepts it, and routing it to the shared lock on the
+      // EXPLAIN keyword alone would let the wrapped statement race
+      // readers.
+      {"EXPLAIN INSERT INTO t VALUES (1)", false},
+      {"explain analyze update t SET a = 1", false},
+      {"EXPLAIN DROP TABLE t", false},
+      {"INSERT INTO t VALUES (1)", false},
+      {"UPDATE t SET a = 1", false},
+      {"DELETE FROM t", false},
+      {"CREATE TABLE t (a BIGINT)", false},
+      {"DROP TABLE t", false},
+      {"COPY t FROM 'x.csv'", false},
+  };
+  for (const auto& [sql, read_only] : cases) {
+    Result<Statement> stmt = ParseStatement(sql);
+    ASSERT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
+    EXPECT_EQ(stmt->read_only(), read_only) << sql;
+  }
+  // Inputs without a statement fail to parse, so no lock decision ever
+  // depends on them.
+  for (const char* sql :
+       {"", "EXPLAIN", "EXPLAIN ANALYZE", "   -- only a comment"}) {
+    Result<Statement> stmt = ParseStatement(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError) << sql;
+  }
 }
 
 // EXPLAIN on a non-SELECT must fail without executing the wrapped
 // statement — the engine-side guarantee backing the classification
 // above (an "explained" INSERT must never mutate storage).
-TEST(IsReadOnlyStatement, ExplainNonSelectIsRejectedWithoutExecuting) {
+TEST(StatementReadOnly, ExplainNonSelectIsRejectedWithoutExecuting) {
   Database db;
   ASSERT_TRUE(db.Execute("CREATE TABLE t (a BIGINT)").ok());
   for (const std::string& sql :

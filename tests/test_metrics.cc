@@ -298,19 +298,20 @@ std::string StripTimings(const std::string& text) {
 
 /// Regression: every EXPLAIN ANALYZE executes in a fresh per-query
 /// context, so running the same analysis back to back must report
-/// identical counters (no accumulation), while the database-wide
-/// cumulative counters grow exactly linearly (merged exactly once).
+/// identical counters (no accumulation), while the engine-wide registry
+/// counters grow exactly linearly (recorded exactly once).
 TEST_F(MetricsEngineTest, BackToBackExplainAnalyzeDoesNotDoubleCount) {
   const std::string sql = std::string("EXPLAIN ANALYZE ") + kAggSql;
-  const int64_t scanned0 = db_->cumulative_stats().rows_scanned;
+  const MetricsRegistry& metrics = db_->metrics();
+  const double scanned0 = metrics.CounterValue("rows_scanned_total");
   QueryResult first = RunAt(0, sql);
-  const int64_t scanned1 = db_->cumulative_stats().rows_scanned;
+  const double scanned1 = metrics.CounterValue("rows_scanned_total");
   QueryResult second = RunAt(0, sql);
-  const int64_t scanned2 = db_->cumulative_stats().rows_scanned;
+  const double scanned2 = metrics.CounterValue("rows_scanned_total");
 
-  const int64_t delta1 = scanned1 - scanned0;
-  const int64_t delta2 = scanned2 - scanned1;
-  EXPECT_GT(delta1, 0);
+  const double delta1 = scanned1 - scanned0;
+  const double delta2 = scanned2 - scanned1;
+  EXPECT_GT(delta1, 0.0);
   EXPECT_EQ(delta1, delta2);  // merged exactly once per run
 
   std::string text1 = StripTimings(first.Get(0, 0).ToString());
@@ -322,28 +323,37 @@ TEST_F(MetricsEngineTest, SnapshotCoversAllCountersAndIsResettable) {
   RunAt(0, kJoinSql);
   std::string json = db_->MetricsSnapshot(MetricsFormat::kJson);
   std::string prom = db_->MetricsSnapshot(MetricsFormat::kPrometheus);
-  // Every relational + hybrid ExecStats counter is registered after any
-  // query (zero-valued series still appear in the snapshot).
+  auto exported = [&](const std::string& name) {
+    return json.find("\"" + name + "\"") != std::string::npos &&
+           prom.find("agora_" + name) != std::string::npos;
+  };
+  // Every ExecStats counter is registered after any successful query
+  // (zero-valued series still appear in the snapshot), except the
+  // failure-only ones, which appear with the first failure.
+  for (const ExecCounter& c : kExecCounters) {
+    switch (c.kind) {
+      case ExecCounterKind::kSum:
+        EXPECT_TRUE(exported(c.total_name)) << c.total_name;
+        break;
+      case ExecCounterKind::kPeak:
+        EXPECT_TRUE(exported(c.name)) << c.name;
+        break;
+      case ExecCounterKind::kFailure:
+        EXPECT_EQ(json.find(c.total_name), std::string::npos)
+            << c.total_name;
+        break;
+    }
+  }
   for (const char* name :
-       {"rows_scanned_total", "blocks_read_total", "blocks_skipped_total",
-        "rows_joined_total", "probe_calls_total", "rows_aggregated_total",
-        "rows_sorted_total", "bytes_materialized_total",
-        "chunks_emitted_total", "hybrid_filter_rows_total",
-        "vector_distances_total", "overfetch_retries_total",
-        "fusion_candidates_total", "queries_total", "statements_total",
-        "query_seconds_total", "joules_proxy_total",
-        "operator_busy_seconds_total", "operator_rows_total",
-        "operator_invocations_total"}) {
-    EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
-        << "JSON missing " << name;
-    EXPECT_NE(prom.find(std::string("agora_") + name), std::string::npos)
-        << "Prometheus missing " << name;
+       {"queries_total", "statements_total", "query_seconds_total",
+        "joules_proxy_total", "operator_busy_seconds_total",
+        "operator_rows_total", "operator_invocations_total"}) {
+    EXPECT_TRUE(exported(name)) << name;
   }
   EXPECT_GT(db_->metrics().CounterValue("rows_scanned_total"), 0.0);
   EXPECT_GT(db_->metrics().CounterValue("operator_rows_total", "Scan"), 0.0);
 
-  db_->ResetCumulativeStats();
-  EXPECT_EQ(db_->cumulative_stats().rows_scanned, 0);
+  db_->metrics().Reset();
   EXPECT_TRUE(db_->metrics().Names().empty());
 }
 

@@ -263,6 +263,21 @@ TEST_F(QueryHandlerTest, SqlErrorsMapToHttpStatuses) {
   EXPECT_NE(response.body.find("ParseError"), std::string::npos);
 }
 
+// EXPLAIN around a mutating statement parses, classifies as a write and
+// is rejected by the engine before the wrapped statement runs: the
+// served request gets 400 and the table keeps its rows.
+TEST_F(QueryHandlerTest, ExplainWrappingDmlIs400AndMutatesNothing) {
+  for (const char* sql : {"EXPLAIN INSERT INTO t VALUES (4, 'z')",
+                          "EXPLAIN ANALYZE DELETE FROM t"}) {
+    HttpResponse response =
+        Post("/query", std::string("{\"sql\": \"") + sql + "\"}");
+    EXPECT_EQ(response.status, 400) << sql << ": " << response.body;
+  }
+  auto count = db_.Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->Get(0, 0).ToString(), "3");
+}
+
 TEST_F(QueryHandlerTest, UnknownRouteIs404WrongMethodIs405) {
   EXPECT_EQ(Get("/nope").status, 404);
   EXPECT_EQ(Get("/query").status, 405);

@@ -345,7 +345,8 @@ TEST_F(SpillExecTest, InfeasibleBudgetFailsGracefullyAndEngineSurvives) {
   // every partition spilled. The query must fail with a Status — no
   // abort, no crash — and the engine must serve the next query.
   budgeted_->set_memory_budget(16 << 10);
-  int64_t rejections_before = budgeted_->cumulative_stats().mem_budget_rejections;
+  const double rejections_before =
+      budgeted_->metrics().CounterValue("mem_budget_rejections_total");
   auto result = budgeted_->Execute(kGroupHeavyAgg);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
@@ -353,8 +354,8 @@ TEST_F(SpillExecTest, InfeasibleBudgetFailsGracefullyAndEngineSurvives) {
   EXPECT_NE(result.status().ToString().find("memory budget exceeded"),
             std::string::npos)
       << result.status().ToString();
-  EXPECT_GT(budgeted_->cumulative_stats().mem_budget_rejections,
-            rejections_before);
+  EXPECT_EQ(budgeted_->metrics().CounterValue("mem_budget_rejections_total"),
+            rejections_before + 1);
   // Same engine, budget lifted: the query runs fine.
   budgeted_->set_memory_budget(0);
   QueryResult ok = RunQuery(budgeted_, kGroupHeavyAgg);
