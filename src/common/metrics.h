@@ -45,7 +45,7 @@ namespace agora {
 struct OpTiming {
   int64_t busy_ns = 0;      ///< exclusive (self) time, nanoseconds
   int64_t rows_out = 0;     ///< rows emitted by the operator
-  int64_t invocations = 0;  ///< Open/Next calls (serial) or morsel tasks
+  int64_t invocations = 0;  ///< Open/Next calls, or morsel-path spans
 
   void Merge(const OpTiming& other) {
     busy_ns += other.busy_ns;

@@ -194,7 +194,7 @@ Result<QueryResult> Database::ExecutePlan(const LogicalOpPtr& plan,
   Timer timer;
   // The root collector itself runs through the morsel pipeline when the
   // whole plan is pipeline-shaped (e.g. scan-filter queries).
-  Result<Chunk> collected = ParallelCollectAll(root.get(), &context);
+  Result<Chunk> collected = CollectAll(root.get());
   if (!collected.ok()) {
     // Budget exhaustion is a per-query failure, never a process failure:
     // count it and hand the Status back with the engine fully usable for
@@ -240,8 +240,6 @@ void Database::RecordQueryMetrics(
       case ExecCounterKind::kPeak:
         metrics_.SetGauge(c.name, value);
         break;
-      case ExecCounterKind::kFailure:
-        break;  // added where the query fails, never as a zero series
     }
   }
   metrics_.Add("queries_total", 1.0);

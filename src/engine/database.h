@@ -147,8 +147,8 @@ class Database {
 
   Optimizer& optimizer() { return optimizer_; }
   const DatabaseOptions& options() const { return options_; }
-  /// Mutable physical-planner knobs (tests lower parallel_min_rows to
-  /// exercise the morsel path on small tables; benchmarks toggle operators).
+  /// Mutable physical-planner knobs (benchmarks toggle operators for the
+  /// E4 ablations).
   PhysicalPlannerOptions& physical_options() { return options_.physical; }
 
   /// Sets the per-query worker-task count for parallel pipelines (0 =

@@ -58,12 +58,12 @@ Status PhysicalHashAggregate::OpenImpl() {
   AGORA_RETURN_IF_ERROR(child_->Open());
   MorselPipeline pipeline;
   if (!has_distinct_ && !spill_mode_ &&
-      ParallelEligible(child_.get(), *context_, &pipeline)) {
-    // Parallel accumulate: one partial table per morsel (single-writer),
+      MorselPipeline::TryBuild(child_.get(), &pipeline)) {
+    // Morsel accumulate: one partial table per morsel (single-writer),
     // folded below in morsel order — worker count never changes results.
     std::vector<AggTable> partials(pipeline.source()->MorselCount());
     AGORA_RETURN_IF_ERROR(DriveMorselPipeline(
-        pipeline, context_,
+        pipeline, context_, "HashAggregate",
         [this, &partials](int worker, const Morsel& morsel,
                           Chunk&& chunk) -> Status {
           ExecStats* stats =
@@ -75,7 +75,7 @@ Status PhysicalHashAggregate::OpenImpl() {
         }));
     for (AggTable& partial : partials) EndRun(&partial);
   } else {
-    // Serial pull: a run ends where the input's morsel index changes, so
+    // Pull path: a run ends where the input's morsel index changes, so
     // the partials are exactly the morsel path's. The budgeted path keeps
     // one run partial per partition instead of one `partial`.
     AggTable partial;

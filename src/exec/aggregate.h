@@ -27,16 +27,17 @@ namespace agora {
 ///
 /// Every path accumulates the same way: each scan morsel's rows go into
 /// their own partial table (AccumulateInto), and the partials fold into
-/// the result in morsel order (MergePartial). The morsel-parallel path
-/// gets one partial per morsel from its workers; the serial pull path and
-/// the budgeted path start a new partial whenever the input chunks'
-/// morsel index (Chunk::morsel()) changes. That fixes both the group
-/// output order (first appearance) and the floating-point addition tree,
-/// so results are byte-identical at every worker count, memory budget and
-/// parallel setting. Input without a morsel index is one run. DISTINCT
-/// aggregates cannot merge partial dedup sets exactly, so they accumulate
-/// their whole input as one run on the serial pull path (the planner
-/// parallelizes their input through a Gather exchange instead); their
+/// the result in morsel order (MergePartial). The morsel path (taken
+/// whenever the child is a morsel pipeline) gets one partial per morsel
+/// from its workers; the pull path (any other child) and the budgeted
+/// path start a new partial whenever the input chunks' morsel index
+/// (Chunk::morsel()) changes. That fixes both the group output order
+/// (first appearance) and the floating-point addition tree, so results
+/// are byte-identical at every worker count and memory budget. Input
+/// without a morsel index is one run. DISTINCT aggregates cannot merge
+/// partial dedup sets exactly, so they accumulate their whole input as
+/// one run on the pull path (the planner parallelizes a pipeline input
+/// through a Gather exchange instead); their
 /// dedup runs over per-aggregate GroupKeyTables keyed on (group id,
 /// argument).
 class PhysicalHashAggregate : public PhysicalOperator {

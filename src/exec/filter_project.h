@@ -9,55 +9,30 @@
 namespace agora {
 
 /// Keeps input rows where `predicate` evaluates to TRUE.
-class PhysicalFilter : public PhysicalOperator {
+class PhysicalFilter : public PhysicalChunkTransform {
  public:
   PhysicalFilter(PhysicalOpPtr child, ExprPtr predicate,
                  ExecContext* context);
 
-  Status OpenImpl() override;
-  Status NextImpl(Chunk* chunk, bool* done) override;
+  Status Execute(const Chunk& input, Chunk* out,
+                 ExecStats* stats) const override;
   std::string name() const override { return "Filter"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-  bool carries_morsel() const override { return true; }
-
-  /// Stateless per-chunk transform used by the morsel pipeline; safe to
-  /// call from multiple workers concurrently.
-  Status ProcessChunk(const Chunk& input, Chunk* out,
-                      ExecStats* stats) const;
-
-  PhysicalOperator* child() const { return child_.get(); }
 
  private:
-  PhysicalOpPtr child_;
   ExprPtr predicate_;
-  bool child_done_ = false;
 };
 
 /// Evaluates one expression per output column.
-class PhysicalProject : public PhysicalOperator {
+class PhysicalProject : public PhysicalChunkTransform {
  public:
   PhysicalProject(PhysicalOpPtr child, std::vector<ExprPtr> exprs,
                   Schema schema, ExecContext* context);
 
-  Status OpenImpl() override;
-  Status NextImpl(Chunk* chunk, bool* done) override;
+  Status Execute(const Chunk& input, Chunk* out,
+                 ExecStats* stats) const override;
   std::string name() const override { return "Project"; }
-  std::vector<const PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-  bool carries_morsel() const override { return true; }
-
-  /// Stateless per-chunk transform used by the morsel pipeline; safe to
-  /// call from multiple workers concurrently.
-  Status ProcessChunk(const Chunk& input, Chunk* out,
-                      ExecStats* stats) const;
-
-  PhysicalOperator* child() const { return child_.get(); }
 
  private:
-  PhysicalOpPtr child_;
   std::vector<ExprPtr> exprs_;
 };
 

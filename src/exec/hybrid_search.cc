@@ -35,13 +35,9 @@ Result<std::vector<uint8_t>> PhysicalHybridSearch::EvaluateFilterBitmap() {
   std::vector<uint8_t> bitmap(n, 1);
   if (filter_ == nullptr) return bitmap;
 
-  // Morsel-parallel over disjoint chunk ranges: each task only writes its
-  // own bitmap slice, so the result is identical at every worker count.
-  // Eligibility mirrors the scan pipeline rule (never depends on the
-  // worker count).
-  bool parallel =
-      context_->enable_parallel && n >= context_->parallel_min_rows;
-  TaskGroup group(parallel ? context_->pool : nullptr);
+  // Parallel over disjoint chunk ranges: each task only writes its own
+  // bitmap slice, so the result is identical at every worker count.
+  TaskGroup group(context_->PoolFor(n));
   for (size_t start = 0; start < n; start += kChunkSize) {
     group.Spawn([this, &bitmap, start, n]() -> Status {
       size_t count = std::min(kChunkSize, n - start);
@@ -111,15 +107,13 @@ Status PhysicalHybridSearch::RunPostFilter() {
     std::vector<Neighbor> vector_hits;
     std::vector<SearchHit> keyword_hits;
     // The two index probes are independent reads of immutable indexes;
-    // run them as sibling tasks on the shared pool (mirroring the
-    // pre-filter bitmap's morsel rule, inline when parallelism is off or
-    // only one component exists). Each task writes only its own hit
-    // vector plus a task-local distance counter folded in after Wait(),
-    // so results and stats are identical at every worker count.
-    const bool parallel = context_->enable_parallel && has_vec_ &&
-                          has_text_ && n >= context_->parallel_min_rows;
+    // run them as sibling tasks on the shared pool (the pre-filter
+    // bitmap's pool rule; inline when only one component exists). Each
+    // task writes only its own hit vector plus a task-local distance
+    // counter folded in after Wait(), so results and stats are identical
+    // at every worker count.
     int64_t vec_distances = 0;
-    TaskGroup group(parallel ? context_->pool : nullptr);
+    TaskGroup group(has_vec_ && has_text_ ? context_->PoolFor(n) : nullptr);
     if (has_vec_) {
       group.Spawn([this, fetch, n, &vector_hits, &vec_distances]() -> Status {
         switch (index_choice_) {

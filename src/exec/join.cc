@@ -80,8 +80,8 @@ PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                                    std::vector<ExprPtr> right_keys,
                                    ExprPtr residual, PhysicalJoinKind kind,
                                    ExecContext* context)
-    : PhysicalOperator(left->schema().Concat(right->schema()), context),
-      left_(std::move(left)),
+    : PhysicalChunkTransform(left->schema().Concat(right->schema()),
+                             std::move(left), context),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
@@ -98,13 +98,12 @@ PhysicalHashJoin::PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
 }
 
 Status PhysicalHashJoin::OpenImpl() {
-  probe_done_ = false;
+  AGORA_RETURN_IF_ERROR(PhysicalChunkTransform::OpenImpl());
   if (spill_mode_) return OpenSpill();
-  AGORA_RETURN_IF_ERROR(left_->Open());
-  // The build side collects through the morsel pipeline when eligible;
-  // chunks come back in morsel order, so row ids match the serial layout.
-  AGORA_ASSIGN_OR_RETURN(build_data_,
-                         ParallelCollectAll(right_.get(), context_));
+  // The build side collects through the morsel pipeline when it has the
+  // shape; chunks come back in morsel order, so row ids never depend on
+  // the worker count.
+  AGORA_ASSIGN_OR_RETURN(build_data_, CollectAll(right_.get()));
   context_->stats.bytes_materialized +=
       static_cast<int64_t>(build_data_.MemoryBytes());
   // The build phase covers hashing + table fill, not the child collection
@@ -122,16 +121,13 @@ Status PhysicalHashJoin::BuildTable() {
   // outright, so no locks are needed and chains stay in ascending row
   // order — the partition count never changes results.
   size_t rows = build_data_.num_rows();
-  size_t num_partitions = 1;
-  if (context_->pool != nullptr && context_->num_workers > 1 &&
-      rows >= context_->parallel_min_rows) {
-    num_partitions = static_cast<size_t>(context_->num_workers);
-  }
+  ThreadPool* pool = context_->PoolFor(rows);
+  size_t num_partitions =
+      pool != nullptr ? static_cast<size_t>(context_->num_workers) : 1;
   table_ = std::make_unique<JoinHashTable>();
   AGORA_RETURN_IF_ERROR(
       table_->Build(build_hashes_.data(), build_valid_.data(), rows,
-                    num_partitions,
-                    num_partitions > 1 ? context_->pool : nullptr));
+                    num_partitions, num_partitions > 1 ? pool : nullptr));
   return Status::OK();
 }
 
@@ -246,8 +242,8 @@ Status PhysicalHashJoin::Probe(const Chunk& probe, size_t lcols,
   return Status::OK();
 }
 
-Status PhysicalHashJoin::ProbeChunk(const Chunk& probe, Chunk* out,
-                                    ExecStats* stats) const {
+Status PhysicalHashJoin::Execute(const Chunk& probe, Chunk* out,
+                                 ExecStats* stats) const {
   return Probe(probe, probe.num_columns(), /*row_idx=*/nullptr,
                /*divert=*/nullptr, out, stats);
 }
@@ -259,7 +255,6 @@ Status PhysicalHashJoin::OpenSpill() {
   morsel_starts_.clear();
   immediate_file_.reset();
 
-  AGORA_RETURN_IF_ERROR(left_->Open());
   const size_t num_parts = std::max<size_t>(1, context_->spill_partitions);
   parts_.resize(num_parts);
 
@@ -453,7 +448,7 @@ Status PhysicalHashJoin::DrainProbeToStreams() {
   bool done = false;
   while (!done) {
     Chunk probe;
-    AGORA_RETURN_IF_ERROR(left_->Next(&probe, &done));
+    AGORA_RETURN_IF_ERROR(input_->Next(&probe, &done));
     size_t rows = probe.num_rows();
     if (rows == 0) continue;
     if (morsel_starts_.empty() ||
@@ -485,7 +480,6 @@ Status PhysicalHashJoin::DrainProbeToStreams() {
     }
     base_idx += static_cast<int64_t>(rows);
   }
-  probe_done_ = true;
   return Status::OK();
 }
 
@@ -573,20 +567,7 @@ Status PhysicalHashJoin::NextImpl(Chunk* chunk, bool* done) {
   // k-way merge of the spooled streams. Otherwise stream the probe side
   // against the one table (all resident partitions under a budget).
   if (spill_mode_ && any_spilled_) return EmitMerged(chunk, done);
-  while (!probe_done_) {
-    Chunk probe;
-    AGORA_RETURN_IF_ERROR(left_->Next(&probe, &probe_done_));
-    if (probe.num_rows() == 0) continue;
-    Chunk out;
-    AGORA_RETURN_IF_ERROR(ProbeChunk(probe, &out, &context_->stats));
-    if (out.num_rows() == 0) continue;
-    *chunk = std::move(out);
-    *done = probe_done_;
-    return Status::OK();
-  }
-  *chunk = Chunk(schema_);
-  *done = true;
-  return Status::OK();
+  return PhysicalChunkTransform::NextImpl(chunk, done);
 }
 
 PhysicalNestedLoopJoin::PhysicalNestedLoopJoin(PhysicalOpPtr left,
@@ -603,8 +584,7 @@ PhysicalNestedLoopJoin::PhysicalNestedLoopJoin(PhysicalOpPtr left,
 Status PhysicalNestedLoopJoin::OpenImpl() {
   probe_done_ = false;
   AGORA_RETURN_IF_ERROR(left_->Open());
-  AGORA_ASSIGN_OR_RETURN(build_data_,
-                         ParallelCollectAll(right_.get(), context_));
+  AGORA_ASSIGN_OR_RETURN(build_data_, CollectAll(right_.get()));
   context_->stats.bytes_materialized +=
       static_cast<int64_t>(build_data_.MemoryBytes());
   return Status::OK();

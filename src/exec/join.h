@@ -25,18 +25,19 @@ enum class PhysicalJoinKind { kInner, kLeftOuter, kCross };
 /// the P partition directories are filled by parallel workers, each
 /// owning its partition outright. Chains iterate in ascending build-row
 /// order, so probe output is identical for every partition and worker
-/// count. One probe kernel serves every path: the serial Next() loop, the
-/// morsel pipeline's workers (via ProbeChunk()), and both passes of the
-/// budgeted path. A build-side Bloom filter rejects most matchless probe
-/// rows before they touch the slot directory. Build and probe book their
-/// self time into separate phase slots (EXPLAIN ANALYZE shows
+/// count. One probe kernel serves every path: the pull loop and the
+/// morsel pipeline's workers (both through Execute()), and both passes of
+/// the budgeted path. A build-side Bloom filter rejects most matchless
+/// probe rows before they touch the slot directory. Build and probe book
+/// their self time into separate phase slots (EXPLAIN ANALYZE shows
 /// HashJoin::build/::probe). Output chunks carry the morsel index of the
 /// probe rows they came from (Chunk::morsel()).
-class PhysicalHashJoin : public PhysicalOperator {
+class PhysicalHashJoin : public PhysicalChunkTransform {
  public:
   /// `left_keys[i]` (over the left schema) must equal `right_keys[i]`
   /// (over the right schema) for a match; the planner guarantees matching
   /// key types. `residual` (over left ⊕ right) further filters matches.
+  /// The left child is the streamed probe input.
   PhysicalHashJoin(PhysicalOpPtr left, PhysicalOpPtr right,
                    std::vector<ExprPtr> left_keys,
                    std::vector<ExprPtr> right_keys, ExprPtr residual,
@@ -46,16 +47,12 @@ class PhysicalHashJoin : public PhysicalOperator {
   Status NextImpl(Chunk* chunk, bool* done) override;
   std::string name() const override { return "HashJoin"; }
   std::vector<const PhysicalOperator*> children() const override {
-    return {left_.get(), right_.get()};
+    return {input_.get(), right_.get()};
   }
-  bool carries_morsel() const override { return true; }
 
-  /// Joins one probe chunk against the built table. Thread-safe once
-  /// Open() returned; used by both the serial Next() loop and parallel
-  /// morsel workers. `*out` may come back empty.
-  Status ProbeChunk(const Chunk& probe, Chunk* out, ExecStats* stats) const;
-
-  PhysicalOperator* probe_child() const { return left_.get(); }
+  /// Joins one probe chunk against the built table.
+  Status Execute(const Chunk& probe, Chunk* out,
+                 ExecStats* stats) const override;
 
   /// True when this join runs the budgeted (spill-capable) path. Decided
   /// at construction from the budget configuration alone — never from the
@@ -136,7 +133,6 @@ class PhysicalHashJoin : public PhysicalOperator {
   /// index; the merge cuts its output there and tags it.
   std::vector<std::pair<int64_t, size_t>> morsel_starts_;
 
-  PhysicalOpPtr left_;
   PhysicalOpPtr right_;
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
@@ -152,7 +148,6 @@ class PhysicalHashJoin : public PhysicalOperator {
   std::vector<uint64_t> build_hashes_;    // per-row combined key hash
   std::vector<uint8_t> build_valid_;      // 0 = some key was NULL
   std::unique_ptr<JoinHashTable> table_;
-  bool probe_done_ = false;
 };
 
 /// Nested-loop join: materializes the right child and pairs every probe

@@ -1,109 +1,65 @@
 #include "exec/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "exec/filter_project.h"
 #include "exec/join.h"
 
 namespace agora {
 
 bool MorselPipeline::TryBuild(PhysicalOperator* op, MorselPipeline* out) {
-  out->source_ = nullptr;
   out->transforms_.clear();
-
   // Walk down the chain, collecting transforms root-first; reverse at the
   // end so Apply() runs them source-to-root.
-  std::vector<Transform> reversed;
   PhysicalOperator* cur = op;
-  while (true) {
-    if (auto* scan = dynamic_cast<PhysicalScan*>(cur)) {
-      out->source_ = scan;
-      break;
-    }
-    // Each transform opens a MetricSpan against the worker's stats slot,
-    // so morsel-path work is attributed to the same operator ids as the
-    // serial pull path (the spans nest under the per-morsel scan span).
-    if (auto* filter = dynamic_cast<PhysicalFilter*>(cur)) {
-      const int op_id = filter->op_id();
-      reversed.push_back(
-          [filter, op_id](const Chunk& in, Chunk* o, ExecStats* s) {
-            MetricSpan span = StatsSpan(s, op_id);
-            Status st = filter->ProcessChunk(in, o, s);
-            if (st.ok()) span.AddRows(static_cast<int64_t>(o->num_rows()));
-            return st;
-          });
-      cur = filter->child();
-      continue;
-    }
-    if (auto* project = dynamic_cast<PhysicalProject*>(cur)) {
-      const int op_id = project->op_id();
-      reversed.push_back(
-          [project, op_id](const Chunk& in, Chunk* o, ExecStats* s) {
-            MetricSpan span = StatsSpan(s, op_id);
-            Status st = project->ProcessChunk(in, o, s);
-            if (st.ok()) span.AddRows(static_cast<int64_t>(o->num_rows()));
-            return st;
-          });
-      cur = project->child();
-      continue;
-    }
-    if (auto* join = dynamic_cast<PhysicalHashJoin*>(cur)) {
-      // A budgeted (spill-capable) join drives its own probe loop so it
-      // can divert rows of spilled partitions to disk; it cannot act as
-      // a stateless morsel transform. Spill mode depends only on the
-      // budget configuration, never on the worker count, so pipeline
-      // eligibility stays deterministic across thread counts.
-      if (join->spill_mode()) return false;
-      const int op_id = join->op_id();
-      reversed.push_back([join, op_id](const Chunk& in, Chunk* o,
-                                       ExecStats* s) {
-        MetricSpan span = StatsSpan(s, op_id);
-        Status st = join->ProbeChunk(in, o, s);
-        if (st.ok()) span.AddRows(static_cast<int64_t>(o->num_rows()));
-        return st;
-      });
-      cur = join->probe_child();
-      continue;
-    }
-    return false;  // breaker or unknown operator: not a morsel pipeline
+  while (auto* transform = dynamic_cast<PhysicalChunkTransform*>(cur)) {
+    // A budgeted (spill-capable) join drives its own probe loop so it
+    // can divert rows of spilled partitions to disk; it cannot act as
+    // a stateless morsel transform. Spill mode is fixed when the join is
+    // built, from the budget configuration alone, so the planner already
+    // knows the answer and pipeline shape never depends on the worker
+    // count.
+    auto* join = dynamic_cast<PhysicalHashJoin*>(transform);
+    if (join != nullptr && join->spill_mode()) return false;
+    out->transforms_.push_back(transform);
+    cur = transform->input();
   }
-  out->transforms_.assign(reversed.rbegin(), reversed.rend());
+  out->source_ = dynamic_cast<PhysicalScan*>(cur);
+  if (out->source_ == nullptr) return false;  // breaker or other leaf
+  std::reverse(out->transforms_.begin(), out->transforms_.end());
   return true;
 }
 
 Status MorselPipeline::Apply(Chunk&& chunk, Chunk* out,
                              ExecStats* stats) const {
   Chunk cur = std::move(chunk);
-  for (const Transform& transform : transforms_) {
+  for (const PhysicalChunkTransform* transform : transforms_) {
     if (cur.num_rows() == 0) break;  // fully filtered; skip the rest
+    // Each transform's span writes to the worker's stats slot under the
+    // operator's own id, so morsel-path work is attributed like the pull
+    // path's (the spans nest under the per-morsel scan span).
+    MetricSpan span = StatsSpan(stats, transform->op_id());
     Chunk next;
-    AGORA_RETURN_IF_ERROR(transform(cur, &next, stats));
+    AGORA_RETURN_IF_ERROR(transform->Execute(cur, &next, stats));
+    span.AddRows(static_cast<int64_t>(next.num_rows()));
     cur = std::move(next);
   }
   *out = std::move(cur);
   return Status::OK();
 }
 
-bool ParallelEligible(PhysicalOperator* op, const ExecContext& context,
-                      MorselPipeline* pipeline) {
-  if (!context.enable_parallel) return false;
-  if (!MorselPipeline::TryBuild(op, pipeline)) return false;
-  return pipeline->source()->table()->num_rows() >= context.parallel_min_rows;
-}
-
 Status DriveMorselPipeline(
-    const MorselPipeline& pipeline, ExecContext* context,
+    const MorselPipeline& pipeline, ExecContext* context, const char* who,
     const std::function<Status(int, const Morsel&, Chunk&&)>& sink) {
   PhysicalScan* source = pipeline.source();
   context->PrepareWorkerStats();
 
-  // One task per worker; each loops claim → scan → transform → sink until
-  // the shared cursor runs dry. An atomic flag makes peers stop early when
-  // any worker fails. With no pool (or one worker) TaskGroup runs the
-  // single task inline on this thread — same code path, same results.
+  // Each task loops claim → scan → check → transform → sink until the
+  // shared cursor runs dry. An atomic flag makes peers stop early when
+  // any worker fails.
   std::atomic<bool> failed{false};
   const int scan_op_id = source->op_id();
   auto worker_body = [&, context](int worker) -> Status {
@@ -125,6 +81,11 @@ Status DriveMorselPipeline(
             morsel,
             [&](Chunk&& chunk) -> Status {
               scan_span.AddRows(static_cast<int64_t>(chunk.num_rows()));
+              // The chunk-boundary checks of every consumer: a cancelled,
+              // late or over-budget query stops within one chunk per
+              // worker.
+              AGORA_RETURN_IF_ERROR(context->CheckControl(who));
+              AGORA_RETURN_IF_ERROR(context->CheckMemoryBudget(who));
               Chunk out;
               AGORA_RETURN_IF_ERROR(
                   pipeline.Apply(std::move(chunk), &out, stats));
@@ -141,20 +102,25 @@ Status DriveMorselPipeline(
     return Status::OK();
   };
 
-  int workers = context->num_workers > 0 ? context->num_workers : 1;
-  ThreadPool* pool = (workers > 1) ? context->pool : nullptr;
-  if (pool == nullptr) workers = 1;
+  // One task per worker, but never more tasks than morsels: a one-morsel
+  // source, like any source without a pool, runs as one task inline on
+  // this thread. Same code path, same results.
+  size_t tasks = std::min<size_t>(std::max(context->num_workers, 1),
+                                  source->MorselCount());
+  ThreadPool* pool = tasks > 1 ? context->pool : nullptr;
+  if (pool == nullptr) tasks = std::min<size_t>(tasks, 1);
   const auto section_start = std::chrono::steady_clock::now();
   TaskGroup group(pool);
-  for (int w = 0; w < workers; ++w) {
-    group.Spawn([&worker_body, w]() { return worker_body(w); });
+  for (size_t w = 0; w < tasks; ++w) {
+    const int worker = static_cast<int>(w);
+    group.Spawn([&worker_body, worker]() { return worker_body(worker); });
   }
   Status status = group.Wait();
   context->MergeWorkerStats();
   // The workers already booked their busy time into per-worker slots (now
   // merged), so the section's wall time must not also count as self time
-  // of whichever serial operator (Gather, HashAggregate, HashJoin build)
-  // is driving this pipeline from inside its own span.
+  // of whichever serial operator (Gather, HashAggregate, Sort, HashJoin
+  // build) is driving this pipeline from inside its own span.
   if (context->stats.active_span != nullptr) {
     context->stats.active_span->AddChildTime(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -164,40 +130,54 @@ Status DriveMorselPipeline(
   return status;
 }
 
-Result<Chunk> ParallelCollectAll(PhysicalOperator* op, ExecContext* context) {
-  MorselPipeline pipeline;
-  if (!ParallelEligible(op, *context, &pipeline)) {
-    return CollectAll(op);
-  }
+namespace {
+
+/// Opens `op` and drains it into `*chunks`, in morsel order on the morsel
+/// path (CollectAll and Gather share it). Checks the memory budget once
+/// per chunk on both paths.
+Status CollectChunks(PhysicalOperator* op, const char* who,
+                     std::vector<Chunk>* chunks) {
   AGORA_RETURN_IF_ERROR(op->Open());
-
-  // One slot per morsel; a morsel is owned by exactly one worker, so the
-  // slots need no locking. Flattening in morsel order afterwards yields
-  // exactly the serial pull order.
-  std::vector<std::vector<Chunk>> by_morsel(pipeline.source()->MorselCount());
-  AGORA_RETURN_IF_ERROR(DriveMorselPipeline(
-      pipeline, context,
-      [&by_morsel, context](int /*worker*/, const Morsel& morsel,
-                            Chunk&& chunk) -> Status {
-        AGORA_RETURN_IF_ERROR(
-            context->CheckMemoryBudget("ParallelCollectAll"));
-        AGORA_RETURN_IF_ERROR(
-            context->CheckControl("ParallelCollectAll"));
-        by_morsel[morsel.index].push_back(std::move(chunk));
-        return Status::OK();
-      }));
-
-  Chunk result(op->schema());
-  for (const std::vector<Chunk>& slot : by_morsel) {
-    for (const Chunk& chunk : slot) {
-      size_t rows = chunk.num_rows();
-      for (size_t r = 0; r < rows; ++r) {
-        result.AppendRowFrom(chunk, r);
-      }
-      if (op->schema().num_fields() == 0) {
-        result.SetExplicitRowCount(result.num_rows() + rows);
-      }
+  ExecContext* context = op->context();
+  MorselPipeline pipeline;
+  if (context != nullptr && MorselPipeline::TryBuild(op, &pipeline)) {
+    // One slot per morsel; a morsel is owned by exactly one worker, so the
+    // slots need no locking. Flattening them in morsel order yields
+    // exactly the pull order.
+    std::vector<std::vector<Chunk>> by_morsel(
+        pipeline.source()->MorselCount());
+    AGORA_RETURN_IF_ERROR(DriveMorselPipeline(
+        pipeline, context, who,
+        [&by_morsel](int /*worker*/, const Morsel& morsel,
+                     Chunk&& chunk) -> Status {
+          by_morsel[morsel.index].push_back(std::move(chunk));
+          return Status::OK();
+        }));
+    for (std::vector<Chunk>& slot : by_morsel) {
+      for (Chunk& chunk : slot) chunks->push_back(std::move(chunk));
     }
+    return Status::OK();
+  }
+  bool done = false;
+  while (!done) {
+    Chunk chunk;
+    AGORA_RETURN_IF_ERROR(op->Next(&chunk, &done));
+    if (context != nullptr) {
+      AGORA_RETURN_IF_ERROR(context->CheckMemoryBudget(who));
+    }
+    if (chunk.num_rows() > 0) chunks->push_back(std::move(chunk));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Chunk> CollectAll(PhysicalOperator* op) {
+  std::vector<Chunk> chunks;
+  AGORA_RETURN_IF_ERROR(CollectChunks(op, "CollectAll", &chunks));
+  Chunk result = Chunk::Concat(op->schema(), std::move(chunks));
+  if (op->context() != nullptr) {
+    AGORA_RETURN_IF_ERROR(op->context()->CheckMemoryBudget("CollectAll"));
   }
   return result;
 }
@@ -208,30 +188,10 @@ PhysicalGather::PhysicalGather(PhysicalOpPtr child, ExecContext* context)
 Status PhysicalGather::OpenImpl() {
   chunks_.clear();
   next_chunk_ = 0;
-
-  MorselPipeline pipeline;
-  passthrough_ = !ParallelEligible(child_.get(), *context_, &pipeline);
-  if (passthrough_) return child_->Open();
-
-  AGORA_RETURN_IF_ERROR(child_->Open());
-  std::vector<std::vector<Chunk>> by_morsel(pipeline.source()->MorselCount());
-  AGORA_RETURN_IF_ERROR(DriveMorselPipeline(
-      pipeline, context_,
-      [&by_morsel](int /*worker*/, const Morsel& morsel,
-                   Chunk&& chunk) -> Status {
-        by_morsel[morsel.index].push_back(std::move(chunk));
-        return Status::OK();
-      }));
-  for (std::vector<Chunk>& slot : by_morsel) {
-    for (Chunk& chunk : slot) {
-      chunks_.push_back(std::move(chunk));
-    }
-  }
-  return Status::OK();
+  return CollectChunks(child_.get(), "Gather", &chunks_);
 }
 
 Status PhysicalGather::NextImpl(Chunk* chunk, bool* done) {
-  if (passthrough_) return child_->Next(chunk, done);
   if (next_chunk_ < chunks_.size()) {
     *chunk = std::move(chunks_[next_chunk_]);
     ++next_chunk_;

@@ -12,82 +12,75 @@ namespace agora {
 /// Morsel-driven parallelism (Leis et al., SIGMOD'14 style, adapted to
 /// this engine's pull operators).
 ///
-/// A *morsel pipeline* is the longest chain of thread-safe per-chunk
-/// transforms above a PhysicalScan leaf:
+/// A *morsel pipeline* is the longest chain of per-chunk transforms above
+/// a PhysicalScan leaf:
 ///
 ///     Scan (→ Filter | Project | HashJoin-probe)*
 ///
 /// Workers claim ~64K-row morsels from the scan's atomic cursor and push
 /// each morsel through the whole chain, so one cache-resident batch flows
 /// scan → filter → probe without synchronization. Pipeline *breakers*
-/// (aggregate, sort, distinct, the root collector) sit above and either
-/// consume morsel results themselves (PhysicalHashAggregate) or read from
-/// a PhysicalGather exchange.
+/// (aggregate, sort, distinct, the join build, the root collector) sit
+/// above and either consume morsel results themselves
+/// (PhysicalHashAggregate, CollectAll) or read from a PhysicalGather
+/// exchange.
 ///
-/// Determinism contract: whether a plan uses the morsel path depends only
-/// on plan shape, the `enable_parallel` switch, and the source table size
-/// — never on the worker count. All merges happen in morsel-index order.
-/// The serial and budgeted paths keep the same order: chunks carry their
-/// scan morsel's index (Chunk::morsel()), and the hash aggregate cuts its
-/// partials where it changes, so every path folds the same per-morsel
-/// partials in the same order. Together this makes query results
-/// (including floating-point aggregate rounding) byte-identical at every
-/// thread count, memory budget and `enable_parallel` setting, and
-/// ExecStats counters byte-identical at every thread count.
+/// Determinism contract: whether a plan runs the morsel path depends only
+/// on plan shape (TryBuild), never on the worker count or the table size.
+/// Serial execution is the same path run by one worker. All merges happen
+/// in morsel-index order. The pull and budgeted paths keep the same
+/// order: chunks carry their scan morsel's index (Chunk::morsel()), and
+/// the hash aggregate cuts its partials where it changes, so every path
+/// folds the same per-morsel partials in the same order. Together this
+/// makes query results (including floating-point aggregate rounding)
+/// byte-identical at every thread count and memory budget, and ExecStats
+/// counters byte-identical at every thread count.
 class MorselPipeline {
  public:
   /// Recognizes the pipeline shape rooted at `op` without opening
   /// anything. Returns false when the subtree contains a non-pipeline
-  /// operator (index scan, sort, union, nested-loop join, ...).
+  /// operator (index scan, sort, union, nested-loop join, a budgeted
+  /// hash join, ...). The one test for the morsel path.
   static bool TryBuild(PhysicalOperator* op, MorselPipeline* out);
 
   PhysicalScan* source() const { return source_; }
 
-  /// Applies every transform to one source chunk. `*out` may come back
-  /// empty (fully filtered / no join match). Thread-safe after the
-  /// member operators were opened.
+  /// Applies every transform to one source chunk, each under its own
+  /// span on `stats`. `*out` may come back empty (fully filtered / no
+  /// join match). Thread-safe after the member operators were opened.
   Status Apply(Chunk&& chunk, Chunk* out, ExecStats* stats) const;
 
  private:
-  using Transform =
-      std::function<Status(const Chunk&, Chunk*, ExecStats*)>;
-
   PhysicalScan* source_ = nullptr;
-  std::vector<Transform> transforms_;  // source-to-root order
+  std::vector<const PhysicalChunkTransform*> transforms_;  // source first
 };
 
-/// True when `op` roots a morsel pipeline the engine may parallelize:
-/// recognizable shape, `context.enable_parallel`, and a source table of
-/// at least `context.parallel_min_rows` rows. Deliberately independent of
-/// `context.num_workers` (see the determinism contract above). Fills
-/// `*pipeline` on success.
-bool ParallelEligible(PhysicalOperator* op, const ExecContext& context,
-                      MorselPipeline* pipeline);
-
-/// Runs `pipeline` to completion with `context->num_workers` tasks on
-/// `context->pool` (inline on the calling thread when the pool is null).
-/// Every non-empty chunk is handed to `sink(worker, morsel, chunk)`; a
-/// given morsel is processed by exactly one worker, so sinks may write to
-/// per-morsel slots without locking. Prepares the context's per-worker
-/// stat slots before the section and merges them (exactly) at the
-/// barrier. Returns the first worker error.
+/// Runs `pipeline` to completion with min(`context->num_workers`,
+/// morsel count) tasks on `context->pool` (inline on the calling thread
+/// when that is one task or the pool is null). Every scanned chunk first
+/// passes the query's deadline/cancel and memory-budget checks (reported
+/// as `who`); every non-empty result is handed to
+/// `sink(worker, morsel, chunk)`. A given morsel is processed by exactly
+/// one worker, so sinks may write to per-morsel slots without locking.
+/// Prepares the context's per-worker stat slots before the section and
+/// merges them (exactly) at the barrier. Returns the first worker error.
 Status DriveMorselPipeline(
-    const MorselPipeline& pipeline, ExecContext* context,
+    const MorselPipeline& pipeline, ExecContext* context, const char* who,
     const std::function<Status(int, const Morsel&, Chunk&&)>& sink);
 
-/// Drains `op` like CollectAll, but through the morsel pipeline when
-/// eligible: chunks are concatenated in morsel order, so the result is
-/// byte-identical to the serial pull order at any worker count. Falls
-/// back to CollectAll otherwise. Calls op->Open() in both paths.
-Result<Chunk> ParallelCollectAll(PhysicalOperator* op, ExecContext* context);
+/// Opens `op` and drains it into one chunk: through the morsel pipeline
+/// when TryBuild accepts `op` (chunks in morsel order, which is the pull
+/// order), by pulling Next() otherwise, then one column-wise
+/// concatenation. The collector behind Database::Execute, Sort and the
+/// join builds; the result is byte-identical at every worker count.
+Result<Chunk> CollectAll(PhysicalOperator* op);
 
 /// Exchange operator: Open() drives the child morsel pipeline with the
 /// worker pool and buffers the output; Next() then streams the chunks in
-/// morsel order. The physical planner inserts it below order-insensitive
-/// pipeline breakers (Sort and TopK inputs get re-ordered anyway; a
-/// serial exchange-merge above keeps SortLimit order-exact) and at plan
-/// roots. Degenerates to a pass-through when the child turns out not to
-/// be pipeline-shaped at Open() time.
+/// morsel order. The physical planner inserts it, where TryBuild accepts
+/// the child, below order-insensitive breakers that pull their input
+/// (TopK, Distinct, DISTINCT aggregates), so EXPLAIN ANALYZE shows a
+/// Gather exactly where one of them read a morsel pipeline.
 class PhysicalGather : public PhysicalOperator {
  public:
   PhysicalGather(PhysicalOpPtr child, ExecContext* context);
@@ -103,7 +96,6 @@ class PhysicalGather : public PhysicalOperator {
   PhysicalOpPtr child_;
   std::vector<Chunk> chunks_;  // morsel order; only non-empty chunks
   size_t next_chunk_ = 0;
-  bool passthrough_ = false;
 };
 
 }  // namespace agora

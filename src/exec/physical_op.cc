@@ -45,10 +45,11 @@ Status PhysicalOperator::Open() {
 
 Status PhysicalOperator::Next(Chunk* chunk, bool* done) {
   // Deadline/cancel checks live in the same non-virtual wrapper as
-  // verification: every serial pull passes here, so a timed-out query
-  // unwinds at the next chunk boundary no matter which operator is on
-  // top. The happy path is two loads (and a clock read when a deadline
-  // is armed); name() is only rendered once the query is already dead.
+  // verification: every pull passes here (the morsel driver makes the
+  // same check once per scanned chunk), so a timed-out query unwinds at
+  // the next chunk boundary no matter which operator is on top. The happy
+  // path is two loads (and a clock read when a deadline is armed); name()
+  // is only rendered once the query is already dead.
   if (context_ != nullptr && context_->control != nullptr &&
       (context_->control->cancel_requested() ||
        context_->control->deadline_passed())) {
@@ -68,6 +69,28 @@ Status PhysicalOperator::Next(Chunk* chunk, bool* done) {
     span.AddRows(static_cast<int64_t>(chunk->num_rows()));
   }
   return status;
+}
+
+Status PhysicalChunkTransform::OpenImpl() {
+  input_done_ = false;
+  return input_->Open();
+}
+
+Status PhysicalChunkTransform::NextImpl(Chunk* chunk, bool* done) {
+  while (!input_done_) {
+    Chunk input;
+    AGORA_RETURN_IF_ERROR(input_->Next(&input, &input_done_));
+    if (input.num_rows() == 0) continue;
+    Chunk out;
+    AGORA_RETURN_IF_ERROR(Execute(input, &out, &context_->stats));
+    if (out.num_rows() == 0) continue;
+    *chunk = std::move(out);
+    *done = input_done_;
+    return Status::OK();
+  }
+  *chunk = Chunk(schema_);
+  *done = true;
+  return Status::OK();
 }
 
 namespace {
@@ -112,28 +135,6 @@ std::vector<OperatorProfileNode> CollectProfile(const PhysicalOperator* root,
   std::vector<OperatorProfileNode> nodes;
   if (root != nullptr) WalkProfile(root, 0, stats, &nodes);
   return nodes;
-}
-
-Result<Chunk> CollectAll(PhysicalOperator* op) {
-  AGORA_RETURN_IF_ERROR(op->Open());
-  Chunk result(op->schema());
-  ExecContext* context = op->context();
-  bool done = false;
-  while (!done) {
-    Chunk chunk;
-    AGORA_RETURN_IF_ERROR(op->Next(&chunk, &done));
-    if (context != nullptr) {
-      AGORA_RETURN_IF_ERROR(context->CheckMemoryBudget("CollectAll"));
-    }
-    size_t rows = chunk.num_rows();
-    for (size_t r = 0; r < rows; ++r) {
-      result.AppendRowFrom(chunk, r);
-    }
-    if (op->schema().num_fields() == 0) {
-      result.SetExplicitRowCount(result.num_rows() + rows);
-    }
-  }
-  return result;
 }
 
 void AppendKeyBytes(const ColumnVector& col, size_t row, std::string* out) {

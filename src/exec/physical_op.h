@@ -22,9 +22,8 @@ class ThreadPool;
 /// query in Database::RecordQueryMetrics (names documented in
 /// docs/METRICS.md).
 enum class ExecCounterKind {
-  kSum,      // additive; registry counter `<name>_total`, added per query
-  kPeak,     // high-water mark, merged by max; registry gauge `<name>`
-  kFailure,  // additive; `<name>_total` is added only where a query fails
+  kSum,   // additive; registry counter `<name>_total`, added per query
+  kPeak,  // high-water mark, merged by max; registry gauge `<name>`
 };
 
 /// Every ExecStats counter, declared once as X(field, kind). The list
@@ -61,7 +60,6 @@ enum class ExecCounterKind {
   X(filter_gathers_avoided, kSum) /* filter outputs reused, no gather */   \
   /* Memory governance (common/memory_tracker.h, storage/spill.h). */      \
   X(mem_bytes_reserved_peak, kPeak)                                        \
-  X(mem_budget_rejections, kFailure)                                       \
   X(spill_partitions, kSum)                                                \
   X(spill_bytes_written, kSum)                                             \
   X(spill_bytes_read, kSum)
@@ -120,21 +118,18 @@ inline constexpr ExecCounter kExecCounters[] = {
 /// Per-query execution context shared by all operators of one plan.
 ///
 /// The parallel fields configure morsel-driven execution (see
-/// exec/parallel.h). Plan eligibility depends only on `enable_parallel`,
-/// `parallel_min_rows` and the plan shape — never on `num_workers` — so a
-/// query produces byte-identical results at every worker count.
+/// exec/parallel.h). Whether a plan runs the morsel path depends only on
+/// its shape, never on `num_workers`: serial execution is the one-worker
+/// run of the same path, so a query produces byte-identical results at
+/// every worker count.
 struct ExecContext {
   ExecStats stats;
 
   /// Worker pool for parallel sections; nullptr runs morsel loops inline
-  /// on the calling thread (still through the morsel path when eligible).
+  /// on the calling thread (the same morsel path, one worker).
   ThreadPool* pool = nullptr;
-  /// Worker tasks spawned per parallel pipeline.
+  /// Worker tasks spawned per parallel pipeline (at most one per morsel).
   int num_workers = 1;
-  /// Gate for the morsel path (ablation switch, mirrors planner options).
-  bool enable_parallel = true;
-  /// Source tables smaller than this stay on the legacy serial path.
-  size_t parallel_min_rows = 8192;
 
   /// Per-worker counter slots used during a parallel section so the hot
   /// path never touches shared counters or atomics. Merged into `stats`
@@ -183,6 +178,14 @@ struct ExecContext {
     return control->Check(who);
   }
 
+  /// The pool for a parallel section over `rows` input rows: the
+  /// context's pool when it has one and the input spans more than one
+  /// kChunkSize block, else null (the section runs inline). Results never
+  /// depend on the choice.
+  ThreadPool* PoolFor(size_t rows) const {
+    return rows > kChunkSize ? pool : nullptr;
+  }
+
   /// Hands out the next per-plan operator id (called from the
   /// PhysicalOperator constructor).
   int RegisterOp() { return num_ops++; }
@@ -221,7 +224,7 @@ struct OperatorPhase {
 /// self time (plus rows and invocations for Next) into the operator's
 /// `ExecStats::op_timings` slot and delegate to OpenImpl()/NextImpl().
 /// Subclasses override the *Impl hooks and never pay for timing twice;
-/// morsel-path entry points (ScanMorsel, the pipeline transforms) open
+/// morsel-path entry points (ScanMorsel, MorselPipeline::Apply) open
 /// their own spans against per-worker slots instead.
 class PhysicalOperator {
  public:
@@ -277,9 +280,42 @@ class PhysicalOperator {
 
 using PhysicalOpPtr = std::unique_ptr<PhysicalOperator>;
 
-/// Drains `op` (Open + Next loop) and concatenates everything into one
-/// chunk. The workhorse behind Database::Execute and the tests.
-Result<Chunk> CollectAll(PhysicalOperator* op);
+/// A per-chunk transform over one streamed input: Filter, Project and the
+/// hash-join probe. Execute() is the whole per-chunk step. The pull path
+/// below and the morsel pipeline's workers (exec/parallel.h) both call it,
+/// so the two paths share one implementation per operator.
+class PhysicalChunkTransform : public PhysicalOperator {
+ public:
+  /// `input` binds by reference, so a derived constructor may also read
+  /// `input->schema()` in the same argument list.
+  PhysicalChunkTransform(Schema schema, PhysicalOpPtr&& input,
+                         ExecContext* context)
+      : PhysicalOperator(std::move(schema), context),
+        input_(std::move(input)) {}
+
+  /// Transforms one non-empty input chunk; `*out` may come back empty.
+  /// Thread-safe once Open() returned: counters go to `stats` (the
+  /// query's block or a worker's slot), nothing else is written.
+  virtual Status Execute(const Chunk& input, Chunk* out,
+                         ExecStats* stats) const = 0;
+
+  /// The streamed input (the probe side of a join).
+  PhysicalOperator* input() const { return input_.get(); }
+  std::vector<const PhysicalOperator*> children() const override {
+    return {input_.get()};
+  }
+  bool carries_morsel() const override { return true; }
+
+ protected:
+  Status OpenImpl() override;
+  /// Pulls input chunks through Execute(), skipping empty results.
+  Status NextImpl(Chunk* chunk, bool* done) override;
+
+  PhysicalOpPtr input_;
+
+ private:
+  bool input_done_ = false;
+};
 
 /// Pre-order walk of the plan rooted at `root`, pairing each operator
 /// with its merged timing slot in `stats`. Input for RenderProfileTree

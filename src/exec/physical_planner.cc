@@ -137,7 +137,7 @@ class PlannerImpl {
       case LogicalOpKind::kAggregate: {
         const auto& a = static_cast<const LogicalAggregate&>(*node);
         AGORA_ASSIGN_OR_RETURN(PhysicalOpPtr child, Lower(a.children()[0]));
-        // The aggregate parallelizes its own accumulation over a pipeline
+        // The aggregate drives its own accumulation over a pipeline
         // child — except for DISTINCT aggregates, whose dedup sets cannot
         // be merged from partials. Those get a Gather exchange below them
         // so at least the scan/filter work runs on the pool.
@@ -153,10 +153,10 @@ class PlannerImpl {
       case LogicalOpKind::kSort: {
         const auto& s = static_cast<const LogicalSort&>(*node);
         AGORA_ASSIGN_OR_RETURN(PhysicalOpPtr child, Lower(s.children()[0]));
-        // Sort re-orders its whole input anyway, so the exchange's
-        // morsel-ordered merge keeps results exact.
+        // Sort collects its input with CollectAll, which drives a
+        // pipeline child itself; no exchange needed.
         return PhysicalOpPtr(std::make_unique<PhysicalSort>(
-            MaybeGather(std::move(child)), s.keys(), context_));
+            std::move(child), s.keys(), context_));
       }
       case LogicalOpKind::kLimit: {
         const auto& l = static_cast<const LogicalLimit&>(*node);
@@ -196,7 +196,7 @@ class PlannerImpl {
                                Lower(node->children()[0]));
         // Distinct's dedup keys don't depend on input order, and the
         // exchange replays chunks in morsel order, so the surviving-row
-        // order matches the serial path exactly.
+        // order matches the pull path exactly.
         return PhysicalOpPtr(std::make_unique<PhysicalDistinct>(
             MaybeGather(std::move(child)), context_));
       }
@@ -223,13 +223,13 @@ class PlannerImpl {
   }
 
  private:
-  /// Inserts a Gather exchange below order-insensitive pipeline breakers.
-  /// Never used under Limit (early exit must stay streaming) or as a join
-  /// child (would break the probe pipeline shape). Gather degenerates to
-  /// a pass-through when the child is not an eligible pipeline, so
-  /// wrapping is always safe.
+  /// Inserts a Gather exchange below an order-insensitive breaker that
+  /// pulls its input, where the input is a morsel pipeline. Never used
+  /// under Limit (early exit must stay streaming) or as a join child
+  /// (would break the probe pipeline shape).
   PhysicalOpPtr MaybeGather(PhysicalOpPtr op) {
-    if (!options_.enable_parallel) return op;
+    MorselPipeline pipeline;
+    if (!MorselPipeline::TryBuild(op.get(), &pipeline)) return op;
     return std::make_unique<PhysicalGather>(std::move(op), context_);
   }
 
@@ -349,19 +349,15 @@ class PlannerImpl {
 Result<PhysicalOpPtr> CreatePhysicalPlan(
     const LogicalOpPtr& plan, ExecContext* context,
     const PhysicalPlannerOptions& options) {
-  // Configure the context's parallel section before lowering: eligibility
-  // reads enable_parallel/parallel_min_rows only, so the thread count can
-  // vary per query without changing plans or results.
-  context->enable_parallel = options.enable_parallel;
-  context->parallel_min_rows = options.parallel_min_rows;
+  // Configure the context's parallel sections before lowering. Plans
+  // depend on their shape only, so the thread count can vary per query
+  // without changing plans or results.
   int workers = options.num_threads > 0
                     ? options.num_threads
                     : static_cast<int>(ThreadPool::DefaultThreadCount());
   if (workers < 1) workers = 1;
   context->num_workers = workers;
-  context->pool =
-      (options.enable_parallel && workers > 1) ? ThreadPool::Global()
-                                               : nullptr;
+  context->pool = workers > 1 ? ThreadPool::Global() : nullptr;
   PlannerImpl planner(context, options);
   return planner.Lower(plan);
 }

@@ -19,15 +19,11 @@ struct PhysicalPlannerOptions {
   bool enable_index_scan = true;
   /// Fuse ORDER BY + LIMIT into a bounded-memory TopK.
   bool enable_topk = true;
-  /// Morsel-driven parallel execution (see exec/parallel.h). Whether a
-  /// plan takes the parallel path depends on this switch and the plan —
-  /// never on `num_threads` — so results match at every thread count.
-  bool enable_parallel = true;
-  /// Worker tasks per parallel pipeline. 0 = auto: the AGORA_THREADS
-  /// environment variable if set, else hardware concurrency.
+  /// Worker tasks per morsel pipeline (see exec/parallel.h); 1 runs
+  /// every pipeline inline, which is serial execution. 0 = auto: the
+  /// AGORA_THREADS environment variable if set, else hardware
+  /// concurrency. Plans and results are identical at every value.
   int num_threads = 0;
-  /// Source tables smaller than this stay on the serial path.
-  size_t parallel_min_rows = 8192;
 };
 
 /// Lowers an (optionally optimized) logical plan into an executable

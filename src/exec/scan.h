@@ -54,8 +54,8 @@ class PhysicalScan : public PhysicalOperator {
   // -- Morsel-source API (parallel path) --------------------------------
   //
   // Open() resets a shared atomic cursor; workers then ClaimMorsel() until
-  // it is exhausted and run ScanMorsel() on their claim. The serial Next()
-  // path keeps its own cursor and is unaffected.
+  // it is exhausted and run ScanMorsel() on their claim. The pull path
+  // (Next()) keeps its own cursor and is unaffected.
 
   const std::shared_ptr<Table>& table() const { return table_; }
   size_t MorselCount() const {
@@ -64,7 +64,7 @@ class PhysicalScan : public PhysicalOperator {
   /// Atomically hands out the next unclaimed morsel. Thread-safe.
   bool ClaimMorsel(Morsel* morsel);
   /// Scans one morsel — zone-map skipping and the pushed predicate applied
-  /// per block, exactly like the serial path — and feeds each surviving
+  /// per block, exactly like the pull path — and feeds each surviving
   /// chunk to `sink`. Counters go to `stats` (a per-worker slot). Safe to
   /// call concurrently for distinct morsels.
   Status ScanMorsel(const Morsel& morsel,

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/hash.h"
+#include "exec/parallel.h"
 
 namespace agora {
 
@@ -24,8 +25,9 @@ PhysicalSort::PhysicalSort(PhysicalOpPtr child, std::vector<SortKey> keys,
 
 Status PhysicalSort::OpenImpl() {
   next_row_ = 0;
-  // CollectAll checks the budget per input chunk; the extra checks below
-  // cover the key columns and permutation this operator adds on top.
+  // CollectAll drives the child's morsel pipeline when it has one and
+  // checks the budget per input chunk; the extra checks below cover the
+  // key columns and permutation this operator adds on top.
   AGORA_ASSIGN_OR_RETURN(data_, CollectAll(child_.get()));
   size_t rows = data_.num_rows();
   context_->stats.rows_sorted += static_cast<int64_t>(rows);

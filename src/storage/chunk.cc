@@ -1,5 +1,7 @@
 #include "storage/chunk.h"
 
+#include <numeric>
+
 #include "common/verify.h"
 #include "storage/chunk_verify.h"
 
@@ -24,6 +26,29 @@ void Chunk::AppendRowFrom(const Chunk& other, size_t row) {
   for (size_t i = 0; i < columns_.size(); ++i) {
     columns_[i].AppendFrom(other.columns_[i], row);
   }
+}
+
+Chunk Chunk::Concat(const Schema& schema, std::vector<Chunk> parts) {
+  Chunk out(schema);
+  size_t total = 0;
+  for (const Chunk& part : parts) total += part.num_rows();
+  out.explicit_rows_ = total;
+  std::vector<uint32_t> all;
+  for (size_t c = 0; c < out.columns_.size(); ++c) {
+    ColumnVector& dst = out.columns_[c];
+    for (Chunk& part : parts) {
+      ColumnVector src = std::move(part.columns_[c]);
+      src.Flatten();
+      all.resize(src.size());
+      std::iota(all.begin(), all.end(), 0u);
+      dst.AppendGatherPadded(src, all.data(), all.size());
+      // The first rows fix the column's form (dictionary codes or flat
+      // values); size it for every row then, so later parts append
+      // without reallocating.
+      if (dst.size() != 0) dst.Reserve(total);
+    }
+  }
+  return out;
 }
 
 Chunk Chunk::GatherRows(const std::vector<uint32_t>& sel) const {

@@ -57,6 +57,11 @@ class Chunk {
   /// Appends row `row` from `other` (schemas must align).
   void AppendRowFrom(const Chunk& other, size_t row);
 
+  /// Concatenates `parts` (each laid out as `schema`) into one chunk,
+  /// column by column, freeing each part's column once it is copied, so
+  /// the copy needs one column of headroom rather than a second result.
+  static Chunk Concat(const Schema& schema, std::vector<Chunk> parts);
+
   /// Keeps only rows named in `sel` (in order). Applies to every column;
   /// the result keeps this chunk's morsel index.
   Chunk GatherRows(const std::vector<uint32_t>& sel) const;

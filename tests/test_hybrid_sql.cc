@@ -33,7 +33,7 @@ class HybridSqlTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     data_ = new SyntheticHybridData(
-        MakeSyntheticHybridData(/*n=*/2000, /*dim=*/16, /*topics=*/4));
+        MakeSyntheticHybridData(/*n=*/5000, /*dim=*/16, /*topics=*/4));
     IvfOptions ivf;
     ivf.nlist = 32;
     ivf.nprobe = 8;
@@ -42,9 +42,6 @@ class HybridSqlTest : public ::testing::Test {
       ASSERT_TRUE(collection_->Add(doc).ok());
     }
     ASSERT_TRUE(collection_->BuildIndexes().ok());
-    // Let the 2000-row fixture take the morsel-parallel filter path so the
-    // multi-thread legs of the matrix actually run parallel.
-    collection_->database().physical_options().parallel_min_rows = 256;
   }
   static void TearDownTestSuite() {
     delete collection_;
@@ -240,7 +237,7 @@ TEST_F(HybridSqlTest, ExplainAnalyzeReportsHybridCounters) {
   EXPECT_NE(text.find("[analyze]"), std::string::npos) << text;
   // Prefilter evaluates the predicate on every row; the hybrid counters
   // must flow through the common ExecStats rendering.
-  EXPECT_NE(text.find("hybrid_filter_rows=2,000"), std::string::npos)
+  EXPECT_NE(text.find("hybrid_filter_rows=5,000"), std::string::npos)
       << text;
   EXPECT_NE(text.find("vector_distances="), std::string::npos) << text;
   EXPECT_NE(text.find("fusion_candidates="), std::string::npos) << text;

@@ -328,8 +328,7 @@ TEST_F(MetricsEngineTest, SnapshotCoversAllCountersAndIsResettable) {
            prom.find("agora_" + name) != std::string::npos;
   };
   // Every ExecStats counter is registered after any successful query
-  // (zero-valued series still appear in the snapshot), except the
-  // failure-only ones, which appear with the first failure.
+  // (zero-valued series still appear in the snapshot).
   for (const ExecCounter& c : kExecCounters) {
     switch (c.kind) {
       case ExecCounterKind::kSum:
@@ -338,12 +337,12 @@ TEST_F(MetricsEngineTest, SnapshotCoversAllCountersAndIsResettable) {
       case ExecCounterKind::kPeak:
         EXPECT_TRUE(exported(c.name)) << c.name;
         break;
-      case ExecCounterKind::kFailure:
-        EXPECT_EQ(json.find(c.total_name), std::string::npos)
-            << c.total_name;
-        break;
     }
   }
+  // The budget-rejection counter is added only where a query fails, so
+  // no zero series appears after successful ones.
+  EXPECT_EQ(json.find("mem_budget_rejections_total"), std::string::npos);
+  EXPECT_EQ(prom.find("mem_budget_rejections_total"), std::string::npos);
   for (const char* name :
        {"queries_total", "statements_total", "query_seconds_total",
         "joules_proxy_total", "operator_busy_seconds_total",

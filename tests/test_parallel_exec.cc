@@ -7,7 +7,15 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/thread_pool.h"
 #include "engine/database.h"
+#include "exec/aggregate.h"
+#include "exec/filter_project.h"
+#include "exec/parallel.h"
+#include "exec/scan.h"
+#include "exec/sort_limit.h"
+#include "expr/expr.h"
+#include "storage/table.h"
 #include "tpch/tpch.h"
 
 namespace agora {
@@ -148,12 +156,11 @@ TEST_F(ParallelExecTest, OrderByWithoutLimitThreadInvariant) {
 }
 
 TEST_F(ParallelExecTest, ParallelMatchesSerialModeWithinTolerance) {
-  // The serial path cuts its aggregate partials at the same morsel
-  // boundaries as the morsel path and merges them in the same order, so
-  // an enable_parallel=false engine returns the parallel engine's exact
+  // Serial execution is the one-worker run of the same morsel path, so
+  // an engine built with one thread returns the parallel engine's exact
   // doubles (tests/test_spill.cc checks this on multi-morsel data).
   DatabaseOptions serial_options;
-  serial_options.physical.enable_parallel = false;
+  serial_options.physical.num_threads = 1;
   Database serial_db(serial_options);
   TpchOptions tpch;
   tpch.scale_factor = 0.002;
@@ -180,11 +187,97 @@ TEST_F(ParallelExecTest, ParallelMatchesSerialModeWithinTolerance) {
 }
 
 TEST_F(ParallelExecTest, SmallTableStaysEligibleInvariant) {
-  // Tables below parallel_min_rows take the serial path at every thread
-  // count — trivially invariant, but guard the routing anyway.
+  // A 25-row table is one morsel, so the morsel path runs it as one
+  // inline task at every thread count; guard that routing anyway.
   ExpectThreadInvariant(
       "small-table",
       "SELECT n_regionkey, COUNT(*) FROM nation GROUP BY n_regionkey");
+}
+
+// ---------------------------------------------------------------------
+// Morsel driver: chunk-boundary checks for every consumer
+// ---------------------------------------------------------------------
+
+/// Operators built by hand over a three-morsel table, with a 4-worker
+/// context whose query was cancelled (or put over its memory budget)
+/// before Open(). Each morsel consumer must stop within one chunk per
+/// worker instead of draining the table.
+class MorselDriverTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    table_ = std::make_shared<Table>(
+        "t", Schema({{"k", TypeId::kInt64, false},
+                     {"v", TypeId::kDouble, false}}));
+    Chunk rows(table_->schema());
+    for (size_t i = 0; i < 3 * kMorselRows; ++i) {
+      rows.column(0).AppendInt64(static_cast<int64_t>(i % 97));
+      rows.column(1).AppendDouble(static_cast<double>(i) * 0.5);
+    }
+    ASSERT_TRUE(table_->AppendChunk(rows).ok());
+    context_.pool = ThreadPool::Global();
+    context_.num_workers = 4;
+    context_.control = &control_;
+  }
+
+  /// Scan → Filter(k >= 0), which keeps every row.
+  PhysicalOpPtr ScanFilter() {
+    auto scan = std::make_unique<PhysicalScan>(
+        table_, std::vector<size_t>{}, nullptr,
+        std::vector<ColumnRangeConstraint>{}, false, table_->schema(),
+        &context_);
+    ExprPtr pred = std::make_shared<ComparisonExpr>(
+        CompareOp::kGe, KeyRef(),
+        std::make_shared<LiteralExpr>(Value::Int64(0)));
+    return std::make_unique<PhysicalFilter>(std::move(scan), pred,
+                                            &context_);
+  }
+
+  static ExprPtr KeyRef() {
+    return std::make_shared<ColumnRefExpr>(0, TypeId::kInt64, "k");
+  }
+
+  std::unique_ptr<PhysicalHashAggregate> CountByKey() {
+    AggregateSpec count;
+    count.func = AggFunc::kCountStar;
+    count.result_type = TypeId::kInt64;
+    count.name = "n";
+    return std::make_unique<PhysicalHashAggregate>(
+        ScanFilter(), std::vector<ExprPtr>{KeyRef()},
+        std::vector<AggregateSpec>{count},
+        Schema({{"k", TypeId::kInt64, false}, {"n", TypeId::kInt64, false}}),
+        &context_);
+  }
+
+  void ExpectStoppedEarly(const Status& status, StatusCode code) {
+    EXPECT_EQ(status.code(), code) << status.ToString();
+    EXPECT_LE(context_.stats.rows_scanned,
+              static_cast<int64_t>(context_.num_workers * kChunkSize));
+  }
+
+  std::shared_ptr<Table> table_;
+  ExecContext context_;
+  QueryControl control_;
+};
+
+TEST_F(MorselDriverTest, AggregateAccumulateStopsOnCancel) {
+  control_.RequestCancel();
+  ExpectStoppedEarly(CountByKey()->Open(), StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(MorselDriverTest, GatherBelowDistinctStopsOnCancel) {
+  control_.RequestCancel();
+  auto gather = std::make_unique<PhysicalGather>(ScanFilter(), &context_);
+  PhysicalDistinct distinct(std::move(gather), &context_);
+  ExpectStoppedEarly(CollectAll(&distinct).status(),
+                     StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(MorselDriverTest, AggregateAccumulateStopsOverBudget) {
+  context_.memory = std::make_shared<MemoryTracker>("query");
+  context_.memory->set_budget(1);
+  context_.memory->Consume(2);
+  ExpectStoppedEarly(CountByKey()->Open(), StatusCode::kResourceExhausted);
+  context_.memory->Release(2);
 }
 
 }  // namespace

@@ -295,9 +295,12 @@ TEST_F(QueryHandlerTest, HealthzFlipsTo503OnDrain) {
 }
 
 TEST_F(QueryHandlerTest, MetricsEndpointSpeaksPrometheus) {
-  Post("/query", R"({"sql": "SELECT 1"})");
+  ASSERT_EQ(Post("/query", R"({"sql": "SELECT a FROM t"})").status, 200);
   HttpResponse response = Get("/metrics");
   ASSERT_EQ(response.status, 200);
+  // The served query reached the engine's counters, not only the
+  // server's.
+  EXPECT_NE(response.body.find("agora_queries_total"), std::string::npos);
   EXPECT_NE(response.body.find("# TYPE agora_server_requests_total counter"),
             std::string::npos);
   EXPECT_NE(

@@ -453,7 +453,6 @@ class MultiMorselTest : public ::testing::Test {
   void TearDown() override {
     db_->set_memory_budget(0);
     db_->set_execution_threads(0);
-    db_->physical_options().enable_parallel = true;
   }
 
   static Database* ref_;
@@ -486,7 +485,6 @@ TEST_F(MultiMorselTest, SerialAndBudgetedPathsMatchTheMorselPath) {
   struct Setting {
     const char* name;
     int64_t budget;  // 0 = unlimited
-    bool parallel;
   };
   const std::vector<std::pair<std::string, std::string>> queries = {
       {"Q1", TpchQ1()},   {"Q5", TpchQ5()},
@@ -505,13 +503,11 @@ TEST_F(MultiMorselTest, SerialAndBudgetedPathsMatchTheMorselPath) {
     int64_t floor =
         2 * static_cast<int64_t>(reference.data().MemoryBytes()) + (64 << 10);
     const Setting settings[] = {
-        {"roomy budget", int64_t{1} << 30, true},
-        {"spilling budget", std::max(peak / 4, floor), true},
-        {"enable_parallel=false", 0, false}};
+        {"roomy budget", int64_t{1} << 30},
+        {"spilling budget", std::max(peak / 4, floor)}};
     for (const Setting& setting : settings) {
       for (int threads : {1, 4}) {
         db_->set_memory_budget(setting.budget);
-        db_->physical_options().enable_parallel = setting.parallel;
         db_->set_execution_threads(threads);
         std::string label = query + " " + setting.name +
                             " T=" + std::to_string(threads);
@@ -546,6 +542,32 @@ TEST_F(MultiMorselTest, SerialAndBudgetedPathsMatchTheMorselPath) {
   }
   EXPECT_GT(join_sum_spills, 0) << "no budget spilled the join under SUM";
   EXPECT_GT(having_spills, 0) << "no budget spilled the grouped aggregate";
+}
+
+// EXPLAIN ANALYZE shows a Gather exactly where a breaker that pulls its
+// input read a morsel pipeline through one.
+TEST_F(MultiMorselTest, ExplainAnalyzeShowsGatherOnlyOverPipelines) {
+  auto gathers = [](const std::string& sql) {
+    QueryResult result = RunQuery(ref_, "EXPLAIN ANALYZE " + sql);
+    std::string text;
+    for (size_t r = 0; r < result.num_rows(); ++r) {
+      text += result.Get(r, 0).string_value();
+    }
+    int count = 0;
+    for (size_t at = text.find("Gather"); at != std::string::npos;
+         at = text.find("Gather", at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  // Q3's TopK reads an aggregate, which drives its own pipeline.
+  EXPECT_EQ(gathers(TpchQ3()), 0);
+  EXPECT_EQ(gathers("SELECT DISTINCT l_shipmode FROM lineitem "
+                    "WHERE l_quantity < 10"),
+            1);
+  // Sort collects its input itself.
+  EXPECT_EQ(gathers("SELECT l_orderkey FROM lineitem ORDER BY l_orderkey"),
+            0);
 }
 
 }  // namespace
